@@ -17,16 +17,25 @@ exactly those transformations, plus a stable hash of it:
 * :func:`canonicalize` — a dependency rebuilt with the canonical variable
   names (``v0, v1, ...``), for display and structural comparison.
 
-The shape search is a greedy branch-and-prune canonical labeling: build
-the atom ordering one atom at a time, always extending with an atom whose
-numbered tuple is minimal, branching on ties and pruning branches that
-fall behind the best completed shape. Picking the minimal next tuple is
-*necessary* for the lexicographically least shape, so the search is exact
-whenever it runs to completion; hashing sits on the batch service's hot
-path, so a node budget caps pathological tie explosions (highly symmetric
-dependencies), degrading to a deterministic greedy choice over atoms
-pre-sorted by renaming-invariant features. The degraded case can at worst
-split one cache key in two — never conflate distinct dependencies.
+The shape comes from an individualization-refinement canonical labelling,
+the scheme of nauty and Traces (McKay & Piperno, "Practical Graph
+Isomorphism II"). Variables are coloured by colour refinement (1-WL over
+the atoms: a variable's colour gathers the block, column and colour tuple
+of every atom it occurs in) until the partition stops splitting. While a
+colour class holds several variables, the search branches on each member
+of the smallest one, gives it a fresh colour and refines again. At a leaf
+every variable has its own colour; the leaf's shape sorts each block by
+colour tuple and renumbers variables by first occurrence. The key is the
+least leaf shape. Colours are ranks of sorted signatures, so nothing in
+the search sees variable names or the caller's atom order, and the
+search is exact whenever it visits the whole tree.
+
+Hashing sits on the batch service's hot path, so a node budget caps the
+tree of a highly symmetric dependency: once it is spent the search
+follows one branch to a leaf. That leaf can depend on the input's
+variable order, so the degraded case can split one cache key in two. It
+never conflates distinct dependencies: every leaf shape is a relabelled
+copy of the input, so equal shapes imply isomorphic dependencies.
 """
 
 from __future__ import annotations
@@ -45,93 +54,119 @@ ShapeBlock = tuple[tuple[int, ...], ...]
 #: The isomorphism-invariant skeleton: (antecedent block, conclusion block).
 Shape = tuple[ShapeBlock, ShapeBlock]
 
-#: Candidate-tuple evaluations allowed per shape search before the search
-#: stops branching on ties. Generous: typical dependencies (the paper's
-#: have at most five antecedents) finish exactly within a tiny fraction.
-_NODE_BUDGET = 50_000
-
-
-def _invariant_sort(atoms: Sequence[Atom], degree: dict[Variable, int]) -> list[Atom]:
-    """Order atoms by renaming-invariant features (self-pattern, degrees).
-
-    Used to presort the search's tie exploration so that even the
-    budget-capped greedy fallback cannot see variable names or the
-    caller's atom order.
-    """
-
-    def key(atom: Atom) -> tuple:
-        local: dict[Variable, int] = {}
-        pattern = tuple(local.setdefault(variable, len(local)) for variable in atom)
-        degrees = tuple(degree[variable] for variable in atom)
-        return (pattern, degrees)
-
-    return sorted(atoms, key=key)
+#: Search-tree nodes (one refinement each) a labelling may visit before
+#: it stops branching and follows a single path to a leaf. The service's
+#: workloads and the reduction's encodings need at most a handful; what
+#: exhausts it is a large, highly symmetric conjunction, such as the
+#: symmetric edge relation of a clique on seven variables (a clique on
+#: six needs 1237 nodes). Spent, it holds one labelling to a few hundred
+#: milliseconds.
+_NODE_BUDGET = 2_000
 
 
 def _least_shape(antecedents: Sequence[Atom], conclusions: Sequence[Atom]) -> Shape:
-    """The lexicographically least (antecedent, conclusion) numbering."""
-    degree: dict[Variable, int] = {}
-    for atom in list(antecedents) + list(conclusions):
-        for variable in set(atom):
-            degree[variable] = degree.get(variable, 0) + 1
-    antecedent_pool = _invariant_sort(antecedents, degree)
-    conclusion_pool = _invariant_sort(conclusions, degree)
+    """The least leaf shape of the individualization-refinement tree."""
+    numbers: dict[Variable, int] = {}
+    atoms: list[tuple[int, tuple[int, ...]]] = [
+        (block, tuple([numbers.setdefault(variable, len(numbers)) for variable in atom]))
+        for block, source in enumerate((antecedents, conclusions))
+        for atom in source
+    ]
+    size = len(numbers)
+    occurrences: list[list[tuple[int, int, int]]] = [[] for __ in range(size)]
+    for index, (block, atom) in enumerate(atoms):
+        for column, number in enumerate(atom):
+            occurrences[number].append((block, column, index))
 
-    split = len(antecedent_pool)
-    best: Optional[tuple[tuple[int, ...], ...]] = None
+    def refine(colour: list[int]) -> list[int]:
+        """Colour refinement (1-WL) until the partition stops splitting.
+
+        A variable's signature is its colour plus the sorted multiset of
+        ``(block, column, atom colour tuple)`` over its occurrences. New
+        colours are the ranks of the sorted signatures, so they depend
+        only on structure, never on variable names or atom order.
+        """
+        classes = len(set(colour))
+        while True:
+            tuples = [tuple([colour[number] for number in atom]) for __, atom in atoms]
+            signatures = [
+                (
+                    colour[number],
+                    tuple(
+                        sorted(
+                            [
+                                (block, column, tuples[index])
+                                for block, column, index in occurrences[number]
+                            ]
+                        )
+                    ),
+                )
+                for number in range(size)
+            ]
+            rank = {
+                signature: position
+                for position, signature in enumerate(sorted(set(signatures)))
+            }
+            colour = [rank[signature] for signature in signatures]
+            if len(rank) == classes or len(rank) == size:
+                return colour
+            classes = len(rank)
+
+    def leaf_shape(colour: list[int]) -> Shape:
+        """Each block sorted by colour tuple, renumbered by first occurrence."""
+        blocks: tuple[list[tuple[int, ...]], list[tuple[int, ...]]] = ([], [])
+        for block, atom in atoms:
+            blocks[block].append(tuple([colour[number] for number in atom]))
+        renumber: dict[int, int] = {}
+        antecedent_block, conclusion_block = [
+            tuple(
+                [
+                    tuple([renumber.setdefault(value, len(renumber)) for value in atom])
+                    for atom in sorted(tuples)
+                ]
+            )
+            for tuples in blocks
+        ]
+        return antecedent_block, conclusion_block
+
+    best: Optional[Shape] = None
     budget = _NODE_BUDGET
-    order: dict[Variable, int] = {}
-    prefix: list[tuple[int, ...]] = []
-
-    def numbered(atom: Atom) -> tuple[int, ...]:
-        """The atom's tuple if chosen next (without committing)."""
-        trial: dict[Variable, int] = {}
-        numbers = []
-        for variable in atom:
-            number = order.get(variable)
-            if number is None:
-                number = trial.setdefault(variable, len(order) + len(trial))
-            numbers.append(number)
-        return tuple(numbers)
-
-    def search(remaining: list[Atom], conclusions_left: list[Atom]) -> None:
-        nonlocal best, budget
-        if not remaining:
-            if conclusions_left:
-                search(conclusions_left, [])
-                return
-            shape = tuple(prefix)
+    # Depth-first over the search tree. A spent budget ends the search at
+    # the first leaf; until one is found, each node follows one branch.
+    pending = [[0] * size]
+    while pending:
+        if budget <= 0 and best is not None:
+            break
+        budget -= 1
+        colour = refine(pending.pop())
+        cells: dict[int, list[int]] = {}
+        for number, value in enumerate(colour):
+            cells.setdefault(value, []).append(number)
+        split = min(
+            ((len(members), value) for value, members in cells.items() if len(members) > 1),
+            default=None,
+        )
+        if split is None:
+            shape = leaf_shape(colour)
             if best is None or shape < best:
                 best = shape
-            return
-        if best is not None and tuple(prefix) > best[: len(prefix)]:
-            return  # this branch can no longer beat the best completed shape
-        scored = [(numbered(atom), position) for position, atom in enumerate(remaining)]
-        budget -= len(scored)
-        least = min(tuple_ for tuple_, __ in scored)
-        ties = [position for tuple_, position in scored if tuple_ == least]
+            continue
+        members = cells[split[1]]
         if budget <= 0:
-            ties = ties[:1]
-        for position in ties:
-            atom = remaining[position]
-            added = []
-            for variable in atom:
-                if variable not in order:
-                    order[variable] = len(order)
-                    added.append(variable)
-            prefix.append(least)
-            search(remaining[:position] + remaining[position + 1 :], conclusions_left)
-            prefix.pop()
-            for variable in added:
-                del order[variable]
-
-    search(antecedent_pool, conclusion_pool)
+            members = members[:1]
+        # Individualize each member of the target cell: it gets a fresh
+        # colour just below its old class, the rest keep their order.
+        doubled = [2 * value for value in colour]
+        for number in reversed(members):
+            child = list(doubled)
+            child[number] -= 1
+            pending.append(child)
     assert best is not None
-    return best[:split], best[split:]
+    return best
 
 
 def canonical_shape(dependency: Dependency) -> Shape:
-    """The least shape over antecedent and conclusion orderings.
+    """The least leaf shape of the canonical labelling search.
 
     Invariant under variable renaming and under reordering of the
     antecedent and conclusion conjunctions.

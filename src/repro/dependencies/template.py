@@ -306,15 +306,15 @@ class TemplateDependency:
         """A canonical variable renaming, for structural comparison.
 
         Delegates to :func:`repro.dependencies.canonical.canonicalize`
-        (the branch-and-prune least-shape labeling the batch service
+        (the colour-refinement canonical labelling the batch service
         hashes with), so there is exactly one definition of structural
         identity in the library: two dependencies have equal canonical
         forms exactly when one is a variable renaming (plus antecedent
-        reordering) of the other — exact whenever the labeling search
-        completes within its node budget, which covers everything but
-        pathologically symmetric conjunctions (where the degraded greedy
-        choice can at worst split an equivalence class, never conflate
-        two).
+        reordering) of the other. That is exact whenever the labelling
+        search finishes within its node budget, which covers everything
+        but large, highly symmetric conjunctions; there the search
+        follows one branch and can at worst split an equivalence class,
+        never conflate two.
         """
         from repro.dependencies.canonical import canonicalize
 

@@ -1,7 +1,11 @@
 """Tests for repro.dependencies.canonical."""
 
+import random
+from collections import Counter
+
 import pytest
 
+from repro.dependencies import canonical
 from repro.dependencies.canonical import (
     canonical_key,
     canonicalize,
@@ -11,8 +15,171 @@ from repro.dependencies.canonical import (
 )
 from repro.dependencies.eid import EmbeddedImplicationalDependency
 from repro.dependencies.parser import parse_dependency, parse_td
+from repro.dependencies.template import TemplateDependency, Variable
 from repro.relational.schema import Schema
 from repro.workloads.generators import disguise, random_td
+
+EDGE = Schema(["FROM", "TO"])
+
+
+def isomorphic(left, right) -> bool:
+    """Brute force: is there a variable bijection mapping each block onto the other?
+
+    Tries every assignment of ``left``'s variables to ``right``'s, in
+    first-occurrence order, and accepts one under which the antecedent
+    and conclusion atom *multisets* coincide. The only pruning is that
+    an atom whose variables are all assigned must map into the matching
+    block of ``right``. Independent of the labelling under test.
+    """
+    if left.schema != right.schema:
+        return False
+    left_blocks = (left.antecedents, left.conclusions)
+    right_blocks = (Counter(right.antecedents), Counter(right.conclusions))
+    if [len(block) for block in left_blocks] != [len(right.antecedents), len(right.conclusions)]:
+        return False
+    order = list(dict.fromkeys(v for block in left_blocks for atom in block for v in atom))
+    images = list(dict.fromkeys(v for block in right_blocks for atom in block for v in atom))
+    if len(order) != len(images):
+        return False
+    position = {variable: index for index, variable in enumerate(order)}
+    closed_by: list[list[tuple[int, tuple]]] = [[] for __ in order]
+    for block, atoms in enumerate(left_blocks):
+        for atom in atoms:
+            closed_by[max(position[v] for v in atom)].append((block, atom))
+    mapping: dict = {}
+
+    def extend(index: int) -> bool:
+        if index == len(order):
+            return all(
+                Counter(tuple(mapping[v] for v in atom) for atom in atoms) == counts
+                for atoms, counts in zip(left_blocks, right_blocks)
+            )
+        for image in images:
+            if image in mapping.values():
+                continue
+            mapping[order[index]] = image
+            if all(
+                tuple(mapping[v] for v in atom) in right_blocks[block]
+                for block, atom in closed_by[index]
+            ) and extend(index + 1):
+                return True
+            del mapping[order[index]]
+        return False
+
+    return extend(0)
+
+
+def variables_of(dependency) -> list[Variable]:
+    return sorted({v for atom in dependency.atoms() for v in atom}, key=lambda v: v.name)
+
+
+def shuffled(dependency, seed: int):
+    """Rename every variable and shuffle both conjunctions."""
+    rng = random.Random(seed)
+    names = variables_of(dependency)
+    fresh = [Variable(f"s{seed}_{index}") for index in range(len(names))]
+    rng.shuffle(fresh)
+    mapping = dict(zip(names, fresh))
+
+    def rename(atoms):
+        atoms = [tuple(mapping[v] for v in atom) for atom in atoms]
+        rng.shuffle(atoms)
+        return atoms
+
+    if isinstance(dependency, TemplateDependency):
+        return TemplateDependency(
+            dependency.schema, rename(dependency.antecedents), rename([dependency.conclusion])[0]
+        )
+    return EmbeddedImplicationalDependency(
+        dependency.schema, rename(dependency.antecedents), rename(dependency.conclusions)
+    )
+
+
+def random_eid(seed: int, conclusions: int = 2) -> EmbeddedImplicationalDependency:
+    """A small random EID over a binary schema, conclusions sharing fresh variables."""
+    rng = random.Random(seed)
+    pool = [Variable(f"x{index}") for index in range(4)]
+    fresh = [Variable(f"e{index}") for index in range(2)]
+    antecedents = [(rng.choice(pool), rng.choice(pool)) for __ in range(rng.randint(1, 3))]
+    used = sorted({v for atom in antecedents for v in atom}, key=lambda v: v.name)
+    conclusion_pool = used + fresh
+    conclusion_atoms = [
+        (rng.choice(conclusion_pool), rng.choice(conclusion_pool)) for __ in range(conclusions)
+    ]
+    return EmbeddedImplicationalDependency(EDGE, antecedents, conclusion_atoms)
+
+
+def repeated_atom_td(seed: int) -> TemplateDependency:
+    """A random TD whose antecedent repeats some of its atoms."""
+    rng = random.Random(seed)
+    pool = [Variable(f"x{index}") for index in range(3)]
+    distinct = [(rng.choice(pool), rng.choice(pool)) for __ in range(rng.randint(1, 3))]
+    antecedents = distinct + [rng.choice(distinct) for __ in range(rng.randint(0, 2))]
+    return TemplateDependency(EDGE, antecedents, (rng.choice(pool), Variable("e")))
+
+
+def edges(*cycles: int, symmetric: bool = False) -> list[tuple[Variable, Variable]]:
+    """The edge atoms of disjoint directed (or symmetric) cycles of the given lengths."""
+    atoms = []
+    start = 0
+    for length in cycles:
+        ring = [Variable(f"n{start + offset}") for offset in range(length)]
+        for offset, node in enumerate(ring):
+            successor = ring[(offset + 1) % length]
+            atoms.append((node, successor))
+            if symmetric:
+                atoms.append((successor, node))
+        start += length
+    return atoms
+
+
+def symmetric_td(atoms) -> TemplateDependency:
+    """``atoms`` as an antecedent under a conclusion on two fresh variables.
+
+    The conclusion touches no antecedent variable, so it breaks none of
+    the antecedent's symmetry.
+    """
+    return TemplateDependency(EDGE, atoms, (Variable("u"), Variable("w")))
+
+
+def clique(size: int) -> TemplateDependency:
+    nodes = [Variable(f"k{index}") for index in range(size)]
+    return symmetric_td([(a, b) for a in nodes for b in nodes if a != b])
+
+
+def refinement_colours(*dependencies) -> list[Counter]:
+    """Colour refinement (1-WL) run jointly; each dependency's colour histogram.
+
+    Colours are ranked in one table shared by all the dependencies, so
+    equal histograms mean colour refinement alone cannot tell them apart.
+    """
+    graphs = []
+    for dependency in dependencies:
+        blocks = (dependency.antecedents, dependency.conclusions)
+        graphs.append((blocks, {variable: 0 for variable in variables_of(dependency)}))
+    total = sum(len(colour) for __, colour in graphs)
+    for __ in range(total):
+        signatures = []
+        for blocks, colour in graphs:
+            occurrences: dict = {variable: [] for variable in colour}
+            for block, atoms in enumerate(blocks):
+                for atom in atoms:
+                    tuple_ = tuple(colour[v] for v in atom)
+                    for column, variable in enumerate(atom):
+                        occurrences[variable].append((block, column, tuple_))
+            signatures.append(
+                {v: (colour[v], tuple(sorted(occurrences[v]))) for v in colour}
+            )
+        rank = {
+            signature: position
+            for position, signature in enumerate(
+                sorted({s for table in signatures for s in table.values()})
+            )
+        }
+        for (__, colour), table in zip(graphs, signatures):
+            for variable, signature in table.items():
+                colour[variable] = rank[signature]
+    return [Counter(colour.values()) for __, colour in graphs]
 
 
 @pytest.fixture
@@ -61,17 +228,6 @@ class TestDependencyFingerprint:
             (transitivity.conclusion,),
         )
         assert canonical_key(transitivity) == canonical_key(eid)
-
-    def test_agrees_with_structural_equality(self):
-        # Cross-validate the branch-and-prune labeling against the
-        # exact permutation-based structural equality of TDs.
-        tds = [random_td(seed=seed, antecedents=3) for seed in range(12)]
-        tds += [disguise(td, seed=90 + index) for index, td in enumerate(tds[:6])]
-        for left in tds:
-            for right in tds:
-                assert (
-                    dependency_fingerprint(left) == dependency_fingerprint(right)
-                ) == left.structurally_equal(right)
 
     def test_eid_conclusion_order_does_not_matter(self):
         schema = Schema(["A", "B"])
@@ -131,3 +287,126 @@ class TestQueryFingerprint:
         target = parse_td("R(a, b) -> R(b, a)")
         key = query_key([transitivity], target)
         assert key == query_key([transitivity], target)
+
+
+def assert_keys_match_isomorphism(dependencies) -> None:
+    keys = [canonical_key(dependency) for dependency in dependencies]
+    for left, left_key in zip(dependencies, keys):
+        for right, right_key in zip(dependencies, keys):
+            assert (left_key == right_key) == isomorphic(left, right), (left, right)
+
+
+class TestAgainstBruteForceIsomorphism:
+    """``key(a) == key(b)`` exactly when a brute-force search finds an isomorphism."""
+
+    def test_oracle_sanity(self, transitivity):
+        assert isomorphic(transitivity, parse_td("R(u, v) & R(v, w) -> R(u, w)"))
+        assert not isomorphic(transitivity, parse_td("R(u, v) & R(v, w) -> R(w, u)"))
+        assert not isomorphic(
+            parse_td("R(x, y) -> R(x, y)"), parse_td("R(x, y) & R(x, y) -> R(x, y)")
+        )
+
+    def test_random_tds(self):
+        tds = [
+            random_td(seed=seed, arity=2 + seed % 2, antecedents=2 + seed % 3)
+            for seed in range(30)
+        ]
+        tds += [disguise(td, seed=300 + index) for index, td in enumerate(tds[:15])]
+        assert_keys_match_isomorphism(tds)
+
+    def test_structural_equality_agrees(self):
+        tds = [random_td(seed=seed, antecedents=3) for seed in range(12)]
+        tds += [disguise(td, seed=90 + index) for index, td in enumerate(tds[:6])]
+        for left in tds:
+            for right in tds:
+                assert left.structurally_equal(right) == isomorphic(left, right)
+
+    def test_two_conclusion_eids(self):
+        eids = [random_eid(seed) for seed in range(40)]
+        eids += [shuffled(eid, seed=500 + index) for index, eid in enumerate(eids[:20])]
+        assert_keys_match_isomorphism(eids)
+
+    def test_antecedents_with_repeated_atoms(self):
+        tds = [repeated_atom_td(seed) for seed in range(40)]
+        tds += [shuffled(td, seed=700 + index) for index, td in enumerate(tds[:20])]
+        assert_keys_match_isomorphism(tds)
+
+    def test_canonical_form_is_an_isomorphic_copy(self):
+        dependencies = [random_td(seed=seed) for seed in range(10)]
+        dependencies += [random_eid(seed) for seed in range(10)]
+        dependencies += [repeated_atom_td(seed) for seed in range(10)]
+        for dependency in dependencies:
+            assert isomorphic(canonicalize(dependency), dependency)
+
+
+#: Pairs colour refinement gives identical colour histograms.
+REFINEMENT_TWINS = [
+    (edges(6), edges(3, 3)),
+    (edges(12), edges(6, 6)),
+    (edges(12), edges(4, 4, 4)),
+    (edges(12), edges(5, 7)),
+    (edges(8, symmetric=True), edges(3, 5, symmetric=True)),
+    (edges(8, symmetric=True), edges(4, 4, symmetric=True)),
+    (edges(6, symmetric=True), edges(3, 3, symmetric=True)),
+]
+
+
+class TestBeyondColourRefinement:
+    """Inputs where 1-WL alone is stuck, so individualization must decide."""
+
+    @pytest.mark.parametrize("left, right", REFINEMENT_TWINS)
+    def test_refinement_twins_get_different_keys(self, left, right):
+        left, right = symmetric_td(left), symmetric_td(right)
+        left_colours, right_colours = refinement_colours(left, right)
+        assert left_colours == right_colours
+        assert not isomorphic(left, right)
+        assert canonical_key(left) != canonical_key(right)
+
+    def test_two_regular_family_keys_are_pairwise_distinct(self):
+        family = [
+            symmetric_td(edges(*lengths))
+            for lengths in [(12,), (6, 6), (4, 4, 4), (3, 3, 3, 3), (5, 7), (3, 4, 5), (3, 9)]
+        ]
+        assert len({canonical_key(td) for td in family}) == len(family)
+
+    @pytest.mark.parametrize(
+        "dependency",
+        [
+            clique(5),
+            symmetric_td(edges(12)),
+            symmetric_td(edges(12, symmetric=True)),
+            # One colour class, two orbits: which member the search
+            # individualizes first must not matter.
+            symmetric_td(edges(6, 3, 3)),
+            symmetric_td(edges(4, 3, symmetric=True)),
+        ],
+        ids=["clique-5", "12-cycle", "symmetric-12-cycle", "6+3+3-cycles", "4+3-cycles"],
+    )
+    def test_disguised_symmetric_copies_share_one_key(self, dependency):
+        keys = {canonical_key(disguise(dependency, seed=seed)) for seed in range(8)}
+        keys.add(canonical_key(dependency))
+        assert len(keys) == 1
+
+
+class TestNodeBudget:
+    """A spent budget may split a key class but never conflate two."""
+
+    SYMMETRIC = [
+        clique(5),
+        symmetric_td(edges(12)),
+        symmetric_td(edges(3, 3)),
+        symmetric_td(edges(4, 4, symmetric=True)),
+        symmetric_td([(Variable(f"a{i}"), Variable(f"b{i}")) for i in range(5)]),
+    ]
+
+    @pytest.mark.parametrize("dependency", SYMMETRIC)
+    def test_degraded_canonical_form_is_an_isomorphic_copy(self, monkeypatch, dependency):
+        monkeypatch.setattr(canonical, "_NODE_BUDGET", 1)
+        for seed in range(4):
+            copy = disguise(dependency, seed=seed)
+            assert isomorphic(canonicalize(copy), dependency)
+
+    @pytest.mark.parametrize("left, right", REFINEMENT_TWINS)
+    def test_degraded_keys_still_separate_refinement_twins(self, monkeypatch, left, right):
+        monkeypatch.setattr(canonical, "_NODE_BUDGET", 1)
+        assert canonical_key(symmetric_td(left)) != canonical_key(symmetric_td(right))
