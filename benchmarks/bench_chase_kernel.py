@@ -2,7 +2,8 @@
 
 Runs the E11 inference workload mix (transitivity premises, provable
 path closures and refutable random full TDs, a third disguised
-duplicates) through every ``chase()`` both ways:
+duplicates) through every ``chase()`` both ways. The legacy side is the
+round-based reference chase kept in ``tests/oracle``:
 
 * **chase kernel time** — the engine calls themselves, on pre-frozen
   starts with the real implication goal: legacy STANDARD (the old
@@ -30,22 +31,36 @@ from pathlib import Path
 import pytest
 
 from repro.chase.budget import Budget
-from repro.chase.engine import ChaseVariant, chase
+from repro.chase.engine import chase
 from repro.chase.implication import ConclusionGoal, _freeze_target, implies
 from repro.workloads.generators import inference_workload
 
 from conftest import record
+from tests.oracle import chase as oracle
+from tests.oracle.chase import ChaseVariant
 
 EXPERIMENT = "E13 / compiled chase kernel vs legacy engine (E11 workload mix)"
 
 BUDGET = Budget(max_steps=5_000)
 
-#: (label, kernel, variant) for the chase-kernel-time comparison.
+#: (label, kernel, variant) for the chase-kernel-time comparison; the
+#: compiled kernel has no variant.
 CONFIGURATIONS = (
     ("legacy/standard", "legacy", ChaseVariant.STANDARD),
     ("legacy/semi_naive", "legacy", ChaseVariant.SEMI_NAIVE),
-    ("compiled", "compiled", ChaseVariant.STANDARD),
+    ("compiled", "compiled", None),
 )
+
+#: ``implies`` per kernel: the production path and the reference chase.
+IMPLIES = {"legacy": oracle.implies, "compiled": implies}
+
+
+def _chase(kernel, variant, start, dependencies, goal):
+    if kernel == "legacy":
+        return oracle.chase(
+            start, dependencies, budget=BUDGET, goal=goal, variant=variant
+        )
+    return chase(start, dependencies, budget=BUDGET, goal=goal)
 
 _REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -84,14 +99,7 @@ def _time_chases(dependencies, targets, kernel, variant, repeats):
         prepared = _prepare(targets)  # fresh instances/goals per repeat
         started = time.perf_counter()
         statuses = [
-            chase(
-                start,
-                dependencies,
-                budget=BUDGET,
-                goal=goal,
-                kernel=kernel,
-                variant=variant,
-            ).status
+            _chase(kernel, variant, start, dependencies, goal).status
             for start, goal in prepared
         ]
         elapsed = time.perf_counter() - started
@@ -105,7 +113,7 @@ def _time_implies(dependencies, targets, kernel, repeats):
     for __ in range(repeats):
         started = time.perf_counter()
         statuses = [
-            implies(dependencies, target, budget=BUDGET, kernel=kernel).status
+            IMPLIES[kernel](dependencies, target, budget=BUDGET).status
             for target in targets
         ]
         elapsed = time.perf_counter() - started

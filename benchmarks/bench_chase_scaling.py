@@ -3,18 +3,21 @@
 Measures the chase on the transitivity family (full TDs, growing goal
 distance) and compares the standard (restricted) chase against the
 oblivious variant — the ablation DESIGN.md calls out: firing satisfied
-triggers buys nothing and costs rows.
+triggers buys nothing and costs rows. The oblivious and semi-naive
+disciplines are those of the reference chase kept in ``tests/oracle``.
 """
 
 import pytest
 
 from repro.chase.budget import Budget
-from repro.chase.engine import ChaseVariant, chase
+from repro.chase.engine import chase
 from repro.chase.implication import InferenceStatus, implies
 from repro.chase.result import ChaseStatus
 from repro.workloads.generators import transitivity_family
 
 from conftest import record
+from tests.oracle import chase as oracle
+from tests.oracle.chase import ChaseVariant
 
 EXPERIMENT = "E9 / chase scaling and the standard-vs-oblivious ablation"
 
@@ -44,7 +47,7 @@ def test_semi_naive_ablation(benchmark, length):
     start, __ = target.freeze()
 
     def run_semi_naive():
-        return chase(
+        return oracle.chase(
             start,
             deps,
             variant=ChaseVariant.SEMI_NAIVE,
@@ -52,7 +55,7 @@ def test_semi_naive_ablation(benchmark, length):
             record_trace=False,
         )
 
-    naive = chase(start, deps, budget=Budget.unlimited(), record_trace=False)
+    naive = oracle.chase(start, deps, budget=Budget.unlimited(), record_trace=False)
     semi = benchmark(run_semi_naive)
     assert semi.status is ChaseStatus.TERMINATED
     assert semi.instance.rows == naive.instance.rows
@@ -73,7 +76,7 @@ def test_standard_vs_oblivious(benchmark, length):
         return chase(start, deps, budget=Budget.unlimited(), record_trace=False)
 
     standard = run_standard()
-    oblivious = chase(
+    oblivious = oracle.chase(
         start,
         deps,
         variant=ChaseVariant.OBLIVIOUS,

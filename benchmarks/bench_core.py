@@ -5,11 +5,12 @@ queries were the last consumers of the generic backtracking search —
 and cores are the differential suites' own runtime sink (every
 "equal up to null renaming" comparison computes two cores). This
 experiment times the compiled homomorphism engine
-(:mod:`repro.relational.homplan`) against the legacy engine on the two
-remaining hom-shaped workloads:
+(:mod:`repro.relational.homplan`) against the legacy engine (the
+generic search kept in ``tests/oracle``) on the two remaining
+hom-shaped workloads:
 
-* **core mix** — redundancy-heavy instances produced by the OBLIVIOUS
-  chase (which fires every trigger once, active or not, so its results
+* **core mix** — redundancy-heavy instances produced by the reference
+  OBLIVIOUS chase (which fires every trigger once, active or not, so its results
   drip with foldable nulls) plus terminated restricted chases of
   weakly acyclic embedded sets; each is ``core_of``-ed and
   cross-checked with ``homomorphically_equivalent`` — the shape of the
@@ -36,10 +37,13 @@ from pathlib import Path
 
 import pytest
 
+from types import SimpleNamespace
+
 from repro.chase.budget import Budget
-from repro.chase.engine import ChaseVariant, chase
+from repro.chase.engine import chase
 from repro.chase.result import ChaseStatus
-from repro.relational.core import core_of, homomorphically_equivalent
+from repro.relational import core
+from repro.relational.queries import ConjunctiveQuery
 from repro.workloads.generators import (
     random_cq,
     random_instance,
@@ -47,12 +51,31 @@ from repro.workloads.generators import (
 )
 
 from conftest import record
+from tests.oracle import chase as oracle_chase
+from tests.oracle import homomorphism as oracle
 
 EXPERIMENT = "E15 / compiled core + CQ engine vs legacy generic search"
 
 BUDGET = Budget(max_steps=4_000)
 
-ENGINES = ("legacy", "compiled")
+#: The core and CQ operations per engine, under the same names.
+ENGINE_OPS = {
+    "legacy": SimpleNamespace(
+        core_of=oracle.core_of,
+        homomorphically_equivalent=oracle.homomorphically_equivalent,
+        minimized=oracle.cq_minimized,
+        is_equivalent_to=oracle.cq_equivalent,
+        is_contained_in=oracle.cq_contained_in,
+    ),
+    "compiled": SimpleNamespace(
+        core_of=core.core_of,
+        homomorphically_equivalent=core.homomorphically_equivalent,
+        minimized=ConjunctiveQuery.minimized,
+        is_equivalent_to=ConjunctiveQuery.is_equivalent_to,
+        is_contained_in=ConjunctiveQuery.is_contained_in,
+    ),
+}
+ENGINES = tuple(ENGINE_OPS)
 
 _REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -77,10 +100,10 @@ def core_cases(quick):
         start = random_instance(seed=seed, rows=5 if quick else 7)
         # The OBLIVIOUS chase fires every trigger once, active or not:
         # maximal redundancy, the hard case for core computation.
-        oblivious = chase(
+        oblivious = oracle_chase.chase(
             start,
             dependencies,
-            variant=ChaseVariant.OBLIVIOUS,
+            variant=oracle_chase.ChaseVariant.OBLIVIOUS,
             budget=Budget(max_steps=60 if quick else 120),
             record_trace=False,
         ).instance
@@ -108,21 +131,20 @@ def cq_cases(quick):
 
 
 def _time_core_mix(cases, engine, repeats):
+    ops = ENGINE_OPS[engine]
     best = None
     summary = None
     for __ in range(repeats):
         sizes = []
         started = time.perf_counter()
         for oblivious, restricted in cases:
-            oblivious_core = core_of(oblivious, engine=engine)
-            restricted_core = core_of(restricted, engine=engine)
+            oblivious_core = ops.core_of(oblivious)
+            restricted_core = ops.core_of(restricted)
             sizes.append((len(oblivious_core), len(restricted_core)))
             # The two chase variants must agree up to null renaming —
             # the differential suites' own comparison, timed here.
             sizes.append(
-                homomorphically_equivalent(
-                    oblivious_core, restricted_core, engine=engine
-                )
+                ops.homomorphically_equivalent(oblivious_core, restricted_core)
             )
         elapsed = time.perf_counter() - started
         best = elapsed if best is None or elapsed < best else best
@@ -131,18 +153,19 @@ def _time_core_mix(cases, engine, repeats):
 
 
 def _time_cq_mix(queries, engine, repeats):
+    ops = ENGINE_OPS[engine]
     best = None
     summary = None
     for __ in range(repeats):
         verdicts = []
         started = time.perf_counter()
         for query in queries:
-            minimized = query.minimized(engine=engine)
+            minimized = ops.minimized(query)
             verdicts.append(len(minimized.body))
-            verdicts.append(query.is_equivalent_to(minimized, engine=engine))
+            verdicts.append(ops.is_equivalent_to(query, minimized))
         for left in queries:
             for right in queries:
-                verdicts.append(left.is_contained_in(right, engine=engine))
+                verdicts.append(ops.is_contained_in(left, right))
         elapsed = time.perf_counter() - started
         best = elapsed if best is None or elapsed < best else best
         summary = verdicts

@@ -2,17 +2,18 @@
 
 The homomorphism finder underlies everything (triggers, model checking,
 implication); this measures pattern matching into cycles of growing size
-and patterns of growing length, recording the match-count series.
+and patterns of growing length, recording the match-count series, on
+the generic backtracking search kept in ``tests/oracle``.
 """
 
 import pytest
 
-from repro.relational.homomorphism import count_homomorphisms, find_homomorphism
 from repro.relational.instance import Instance
 from repro.relational.schema import Schema
 from repro.relational.values import Const, LabeledNull
 
 from conftest import record
+from tests.oracle.homomorphism import count_homomorphisms, find_homomorphism
 
 EXPERIMENT = "E9b / homomorphism search: path patterns into cycles"
 

@@ -1,14 +1,15 @@
 #!/usr/bin/env python
 """Repo-invariant lints the generic linters cannot express.
 
-Two AST-level checks, run in CI after the unit suite:
+Three AST-level checks, run in CI after the unit suite:
 
-1. **Metric table completeness** — every metric family registered in
-   ``src/repro/service/instruments.py`` or ``src/repro/chase/maintain.py``
-   (any ``registry.counter/gauge/histogram("name", ...)`` call with a
-   literal name) must have a row in README.md's metric table. The
-   README promises the table and ``GET /metrics`` agree; this makes the
-   promise mechanical.
+1. **Metric table agreement** — every metric family registered by a
+   module under ``src/repro`` (any ``<registry>.counter/gauge/histogram
+   ("name", ...)`` call with a literal name) must have a row in
+   README.md's metric table, and every row of that table must name a
+   family some module registers. The README promises the table and
+   ``GET /metrics`` agree; this makes the promise mechanical in both
+   directions.
 
 2. **Instance encapsulation** — no module under ``src/repro`` outside
    an explicit allowlist may touch :class:`Instance`'s internal row
@@ -19,6 +20,10 @@ Two AST-level checks, run in CI after the unit suite:
    kernel grew its native backend and the state moved to its own
    module; the walkers remaining in joins.py are read-only and earn no
    exemption.)
+
+3. **Test-only oracle** — no module under ``src/repro`` imports from
+   ``tests`` (in particular the reference engines in ``tests/oracle``),
+   so the generic engines stay test-only.
 
 Exit codes: 0 clean, 1 violations (printed one per line), 2 a lint
 input file is missing. Run from anywhere::
@@ -36,12 +41,6 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parents[1]
 SRC_ROOT = REPO_ROOT / "src" / "repro"
 README = REPO_ROOT / "README.md"
-
-#: Modules whose registered metric families must appear in the README.
-METRIC_MODULES = (
-    SRC_ROOT / "service" / "instruments.py",
-    SRC_ROOT / "chase" / "maintain.py",
-)
 
 #: The registry factory methods whose first literal argument is a
 #: metric family name.
@@ -92,14 +91,21 @@ def readme_metric_table_names(readme_text: str) -> set[str]:
 def check_metric_table() -> list[str]:
     problems = []
     documented = readme_metric_table_names(README.read_text())
-    for module in METRIC_MODULES:
+    registered = set()
+    for module in sorted(SRC_ROOT.rglob("*.py")):
         for name, lineno in registered_metric_names(module):
+            registered.add(name)
             if name not in documented:
                 problems.append(
                     f"{module.relative_to(REPO_ROOT)}:{lineno}: metric "
                     f"family {name!r} is registered but has no row in "
                     f"README.md's metric table"
                 )
+    for name in sorted(documented - registered):
+        problems.append(
+            f"README.md: metric table row {name!r} names a family no "
+            f"module under src/repro registers"
+        )
     return problems
 
 
@@ -133,24 +139,55 @@ def check_instance_encapsulation() -> list[str]:
     return problems
 
 
+def imports_of_tests(path: Path) -> list[tuple[str, int]]:
+    """(module, line) for every import of ``tests`` or a submodule."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module or ""]
+        else:
+            continue
+        for name in names:
+            if name == "tests" or name.startswith("tests."):
+                found.append((name, node.lineno))
+    return found
+
+
+def check_oracle_is_test_only() -> list[str]:
+    problems = []
+    for path in sorted(SRC_ROOT.rglob("*.py")):
+        for name, lineno in imports_of_tests(path):
+            problems.append(
+                f"{path.relative_to(REPO_ROOT)}:{lineno}: imports {name!r} "
+                f"— the reference engines in tests/oracle are test-only"
+            )
+    return problems
+
+
 def main() -> int:
-    missing = [
-        path
-        for path in (*METRIC_MODULES, README)
-        if not path.exists()
-    ]
+    missing = [path for path in (SRC_ROOT, README) if not path.exists()]
     if missing:
         for path in missing:
             print(f"lint input missing: {path}", file=sys.stderr)
         return 2
 
-    problems = check_metric_table() + check_instance_encapsulation()
+    problems = (
+        check_metric_table()
+        + check_instance_encapsulation()
+        + check_oracle_is_test_only()
+    )
     if problems:
         for problem in problems:
             print(problem)
         print(f"\n{len(problems)} invariant violation(s)", file=sys.stderr)
         return 1
-    print("invariants ok: metric table complete, Instance storage sealed")
+    print(
+        "invariants ok: metric table matches registrations, Instance "
+        "storage sealed, no src module imports tests"
+    )
     return 0
 
 

@@ -26,7 +26,7 @@ Quickstart::
     assert report.proved
 """
 
-from repro.chase import Budget, ChaseStatus, ChaseVariant, InferenceStatus, chase, implies
+from repro.chase import Budget, ChaseStatus, InferenceStatus, chase, implies
 from repro.core import Semantics, equivalent_sets, infer, is_redundant, minimal_cover
 from repro.dependencies import (
     Diagram,
@@ -74,7 +74,6 @@ __all__ = [
     "Budget",
     "chase",
     "ChaseStatus",
-    "ChaseVariant",
     "implies",
     "InferenceStatus",
     # core facade

@@ -15,8 +15,8 @@ counterexample database for DISPROVED).
 """
 
 from repro.chase.budget import Budget, ChaseStats
-from repro.chase.checkplan import DEFAULT_CHECKER, CheckPlan, ModelChecker, compile_check
-from repro.chase.engine import DEFAULT_KERNEL, ChaseVariant, apply_step, chase
+from repro.chase.checkplan import CheckPlan, ModelChecker, compile_check
+from repro.chase.engine import apply_step, chase
 from repro.chase.plan import JoinPlan, KernelState, compile_plan, compile_program
 from repro.chase.finite_models import (
     search_finite_counterexample,
@@ -36,20 +36,11 @@ from repro.chase.termination import (
     is_weakly_acyclic,
     termination_report,
 )
-from repro.chase.trigger import (
-    Trigger,
-    iter_active_triggers,
-    iter_triggers,
-    iter_triggers_touching,
-)
 
 __all__ = [
     "Budget",
     "ChaseStats",
-    "ChaseVariant",
     "chase",
-    "DEFAULT_KERNEL",
-    "DEFAULT_CHECKER",
     "JoinPlan",
     "KernelState",
     "CheckPlan",
@@ -61,10 +52,6 @@ __all__ = [
     "ChaseResult",
     "ChaseStatus",
     "ChaseStep",
-    "Trigger",
-    "iter_triggers",
-    "iter_active_triggers",
-    "iter_triggers_touching",
     "is_weakly_acyclic",
     "termination_report",
     "TerminationReport",

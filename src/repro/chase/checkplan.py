@@ -1,17 +1,13 @@
-"""Compiled model checking: ``holds_in``/``find_violation`` on join plans.
+"""Model checking: ``holds_in``/``find_violation`` on join plans.
 
-PR 3's compiled chase kernel (:mod:`repro.chase.plan`) made PROVED
-verdicts fast but left *model checking* — "does this database satisfy
-this dependency?" — on the generic backtracking search of
-:func:`repro.relational.homomorphism.iter_homomorphisms`. That search is
-the dominant cost of DISPROVED verdicts: verifying a counterexample
-re-model-checks every dependency, the reduction's direction (B) checks a
-candidate database against every ``Di(r)``, and the bounded
-finite-counterexample search calls ``find_violation`` inside its repair
-loop thousands of times.
+"Does this database satisfy this dependency?" is the dominant cost of
+DISPROVED verdicts: verifying a counterexample re-model-checks every
+dependency, the reduction's direction (B) checks a candidate database
+against every ``Di(r)``, and the bounded finite-counterexample search
+calls ``find_violation`` inside its repair loop thousands of times.
 
 This module compiles the check onto the same machinery the chase kernel
-already uses, sharing its structural plan cache:
+uses, sharing its structural plan cache:
 
 * the dependency's :class:`~repro.chase.plan.JoinPlan` supplies the
   name-sorted integer variable slots, the interned-row layout, and the
@@ -35,20 +31,16 @@ already uses, sharing its structural plan cache:
   finite-search candidate against ``D`` and the target, direction (B)'s
   database against every ``Di(r)``.
 
-The generic search stays available as ``checker="legacy"`` (or
-``REPRO_MODEL_CHECKER=legacy`` process-wide) and is held to identical
-verdicts by the seeded differential suite
-(``tests/chase/test_checker_differential.py``). The legacy body also
-lives here, once — :func:`find_violation_legacy` is shared by
-:class:`~repro.dependencies.template.TemplateDependency` and
-:class:`~repro.dependencies.eid.EmbeddedImplicationalDependency` (a TD
-is the EID special case with a one-atom conclusion conjunction), so the
-two semantics cannot drift.
+One body serves :class:`~repro.dependencies.template.TemplateDependency`
+and :class:`~repro.dependencies.eid.EmbeddedImplicationalDependency` (a
+TD is the EID special case with a one-atom conclusion conjunction), so
+the two semantics cannot drift. The seeded differential suite
+(``tests/chase/test_checker_differential.py``) holds the verdicts to the
+generic search kept in ``tests/oracle``.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Iterable, Optional, Sequence
 
 from repro.chase.plan import JoinPlan, compile_plan
@@ -59,30 +51,8 @@ from repro.kernel.joins import (
     memoized,
     violation_walk,
 )
-from repro.dependencies.template import Variable, is_variable
-from repro.relational.homomorphism import (
-    extend_homomorphism,
-    iter_homomorphisms,
-)
+from repro.dependencies.template import Variable
 from repro.relational.instance import Instance, Row
-
-#: Which checker dependency methods use when the caller does not say.
-#: Mirrors ``REPRO_CHASE_KERNEL``: flip a whole process back to the
-#: generic homomorphism search for baselines and differential debugging.
-DEFAULT_CHECKER = os.environ.get("REPRO_MODEL_CHECKER", "compiled")
-
-_CHECKERS = ("compiled", "legacy")
-
-
-def resolve_checker(checker: Optional[str]) -> str:
-    """Normalize a ``checker=`` argument (None means the process default)."""
-    checker = checker if checker is not None else DEFAULT_CHECKER
-    if checker not in _CHECKERS:
-        raise ValueError(
-            f"unknown model checker {checker!r} (use one of {_CHECKERS})"
-        )
-    return checker
-
 
 class CheckPlan:
     """A dependency's compiled model-check: cold join + extension probe.
@@ -103,7 +73,7 @@ class CheckPlan:
             list(plan.antecedent_atom_slots), set()
         )
         #: Universal variables in slot order (0..n_universal-1): the
-        #: witness dict layout, matching the legacy checker's assignment.
+        #: witness dict layout.
         self.universal_variables: tuple[Variable, ...] = tuple(
             sorted(dependency.universal_variables(), key=lambda v: v.name)
         )
@@ -143,54 +113,28 @@ def _find_violation_in_state(dependency, state: KernelState) -> Optional[dict]:
     return None
 
 
-def find_violation_legacy(dependency, instance: Instance) -> Optional[dict]:
-    """The generic-search ``find_violation`` (the reference semantics).
+def find_violation(dependency, instance: Instance) -> Optional[dict]:
+    """A violating antecedent assignment of ``dependency``, or None.
 
-    One body for TDs and EIDs: both expose ``antecedents`` and
-    ``conclusions`` (a TD's ``conclusions`` is its single conclusion atom
-    as a one-element conjunction), so the TD path *is* the EID path and
-    the two cannot drift.
-    """
-    conclusions = list(dependency.conclusions)
-    for assignment in iter_homomorphisms(
-        dependency.antecedents, instance, flexible=is_variable
-    ):
-        extension = extend_homomorphism(
-            assignment, conclusions, instance, flexible=is_variable
-        )
-        if extension is None:
-            return dict(assignment)
-    return None
-
-
-def find_violation(
-    dependency, instance: Instance, *, checker: Optional[str] = None
-) -> Optional[dict]:
-    """One-shot ``find_violation`` dispatch (compiled by default).
-
-    The compiled path runs on the instance's cached kernel view
+    Runs on the instance's cached kernel view
     (:meth:`~repro.relational.instance.Instance.kernel_view`), so
     repeated one-shot calls on one database pay the interning pass
     once; :class:`ModelChecker` remains the batch-of-dependencies
     convenience wrapper.
     """
-    if resolve_checker(checker) == "legacy":
-        return find_violation_legacy(dependency, instance)
     return _find_violation_in_state(dependency, instance.kernel_view())
 
 
-def holds_in(
-    dependency, instance: Instance, *, checker: Optional[str] = None
-) -> bool:
-    """One-shot ``holds_in`` dispatch (compiled by default)."""
-    return find_violation(dependency, instance, checker=checker) is None
+def holds_in(dependency, instance: Instance) -> bool:
+    """Does ``instance`` satisfy ``dependency``?"""
+    return find_violation(dependency, instance) is None
 
 
 class ModelChecker:
     """Model-check many dependencies against one instance, sharing state.
 
-    The compiled path interns the instance's rows into a
-    :class:`KernelState` **once** (lazily, on the first query) and
+    The instance's rows are interned into a :class:`KernelState`
+    **once** (lazily, on the first query) and
     reuses it for every subsequent check — the shape of every hot
     caller: :func:`repro.chase.modelcheck.satisfies_all`, counterexample
     verification, direction (B)'s database-vs-every-``Di(r)`` sweep, and
@@ -198,7 +142,7 @@ class ModelChecker:
 
     Mutating the instance between queries — through :meth:`add` or any
     out-of-band ``instance.add``/``instance.discard`` — is fully
-    supported: the compiled path runs on the instance's *subscribed*
+    supported: the checks run on the instance's *subscribed*
     kernel view (:meth:`~repro.relational.instance.Instance.kernel_view`),
     which the instance's own mutation hooks keep synchronized, so
     staleness is structurally impossible. (The previous design cached a
@@ -208,11 +152,10 @@ class ModelChecker:
     and the differential suite pins the discard+add case.)
     """
 
-    __slots__ = ("instance", "checker")
+    __slots__ = ("instance",)
 
-    def __init__(self, instance: Instance, *, checker: Optional[str] = None):
+    def __init__(self, instance: Instance):
         self.instance = instance
-        self.checker = resolve_checker(checker)
 
     def _kernel_state(self) -> KernelState:
         return self.instance.kernel_view()
@@ -228,8 +171,6 @@ class ModelChecker:
 
     def find_violation(self, dependency) -> Optional[dict]:
         """A violating antecedent assignment of ``dependency``, or None."""
-        if self.checker == "legacy":
-            return find_violation_legacy(dependency, self.instance)
         return _find_violation_in_state(dependency, self._kernel_state())
 
     def holds_in(self, dependency) -> bool:
@@ -255,7 +196,4 @@ class ModelChecker:
         return violations
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"<ModelChecker checker={self.checker!r} "
-            f"rows={len(self.instance)}>"
-        )
+        return f"<ModelChecker rows={len(self.instance)}>"

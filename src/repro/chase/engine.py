@@ -1,42 +1,34 @@
-"""The chase proper: standard (restricted) and oblivious variants.
+"""The chase proper: the restricted chase, and replaying its certificates.
 
-The engine is round-based and fair: each round scans every dependency and
-fires the triggers found. A fixpoint (a round that adds nothing) means the
-instance satisfies every dependency — for the standard chase the result is
-then a *universal model* of the input under the dependencies, which is what
-makes chase-based implication testing sound and complete on terminating
-runs.
+The restricted (standard) chase repeatedly finds an *active trigger* — a
+match of some dependency's antecedents with no extension covering its
+conclusion — and repairs it by adding the conclusion with fresh labelled
+nulls for the existential variables. A fixpoint means the instance
+satisfies every dependency, and the result is then a *universal model*
+of the input under the dependencies, which is what makes chase-based
+implication testing sound and complete on terminating runs.
 
-Two kernels execute the restricted chase:
-
-* the **compiled** kernel (:mod:`repro.chase.plan`, the default) runs
-  per-dependency join plans over interned integer rows with
-  delta-indexed trigger dispatch — ``STANDARD`` and ``SEMI_NAIVE`` both
-  fold onto it (round one's delta is the whole instance);
-* the **legacy** kernel is the original generic-homomorphism loop, kept
-  for the ``OBLIVIOUS`` variant, for differential testing, and as the
-  reference semantics (select it with ``kernel="legacy"`` or
-  ``REPRO_CHASE_KERNEL=legacy``).
-
-Both kernels produce the same statuses and replay-valid traces; firing
-order inside a round (and hence trace step order and null labels) may
-differ, exactly as it already does between hash-seed runs of the legacy
-kernel.
+:func:`chase` runs on the compiled kernel (:mod:`repro.chase.plan`):
+per-dependency join plans over interned integer rows with
+delta-indexed trigger dispatch. The differential suites hold it to the
+round-based generic chase kept in ``tests/oracle`` — same statuses,
+replay-valid traces, and final instances equal up to null renaming;
+firing order inside a round (and hence trace step order and null
+labels) may differ.
 
 The engine never raises on divergence: it stops when the
 :class:`~repro.chase.budget.Budget` is spent and says so in the result
-status.
+status. :func:`replay` and :func:`apply_step` are the certificate
+checker: they re-apply a recorded trace step by step, verifying each
+step against the dependency it claims to fire.
 """
 
 from __future__ import annotations
 
-import enum
-import os
 from typing import Callable, Iterable, Optional, Sequence
 
 from repro.chase.budget import Budget
 from repro.chase.result import ChaseResult, ChaseStatus, ChaseStep
-from repro.chase.trigger import Trigger, iter_triggers
 from repro.dependencies.classify import Dependency
 from repro.dependencies.template import Variable, is_variable
 from repro.errors import VerificationError
@@ -44,36 +36,8 @@ from repro.relational.homomorphism import apply_assignment
 from repro.relational.instance import Instance, Row
 from repro.relational.values import LabeledNull, NullFactory, Value
 
-
-class ChaseVariant(enum.Enum):
-    """Which trigger discipline to use."""
-
-    #: Fire only *active* triggers (the restricted chase). Terminates more
-    #: often and produces smaller instances; this is the default.
-    STANDARD = "standard"
-
-    #: Fire every trigger exactly once, active or not. Simpler theory,
-    #: bigger instances; kept for the redundancy ablation benchmarks.
-    OBLIVIOUS = "oblivious"
-
-    #: The restricted chase with semi-naive (delta-driven) trigger
-    #: enumeration: each round only examines matches touching a row added
-    #: in the previous round. Same results as STANDARD (activity is
-    #: monotone: adding rows never re-activates a trigger), less rescanning.
-    SEMI_NAIVE = "semi_naive"
-
-
 #: A predicate the caller wants to become true; the chase stops when it does.
 Goal = Callable[[Instance], bool]
-
-#: Which kernel ``chase`` uses when the caller does not say. The
-#: compiled kernel is the production default; set
-#: ``REPRO_CHASE_KERNEL=legacy`` to flip a whole process back to the
-#: generic-homomorphism engine (benchmark baselines, differential
-#: debugging).
-DEFAULT_KERNEL = os.environ.get("REPRO_CHASE_KERNEL", "compiled")
-
-_KERNELS = ("compiled", "legacy")
 
 
 def chase(
@@ -81,12 +45,10 @@ def chase(
     dependencies: Sequence[Dependency],
     *,
     budget: Optional[Budget] = None,
-    variant: ChaseVariant = ChaseVariant.STANDARD,
     goal: Optional[Goal] = None,
     inplace: bool = False,
     record_trace: bool = True,
     null_factory: Optional[NullFactory] = None,
-    kernel: Optional[str] = None,
     checkpoint: bool = False,
     strata: Optional[Sequence[Sequence[Dependency]]] = None,
 ) -> ChaseResult:
@@ -100,169 +62,52 @@ def chase(
     ``record_trace`` keeps the full list of fired steps (the replayable
     certificate); disable it for large benchmark runs.
 
-    ``kernel`` selects ``"compiled"`` (default, see
-    :mod:`repro.chase.plan`) or ``"legacy"``; the ``OBLIVIOUS`` variant
-    always runs on the legacy kernel (its fire-once discipline keys on
-    :class:`Trigger` identity, not activity).
-
-    ``checkpoint`` asks the compiled kernel to attach a
+    ``checkpoint`` asks the kernel to attach a
     :class:`repro.chase.checkpoint.ChaseCheckpoint` of the suspended
     run to a BUDGET_EXHAUSTED result, so a covering-budget retry can
-    resume instead of restarting. Ignored on the legacy kernel (its
-    loop keeps no resumable frontier) — callers must treat a missing
-    ``result.checkpoint`` as "restart from scratch".
+    resume instead of restarting.
 
     ``strata`` (from :func:`repro.analysis.report.prune_for_target`)
-    asks the compiled kernel to dispatch stratum-by-stratum along the
+    asks the kernel to dispatch stratum-by-stratum along the
     firing-graph condensation; each stratum's session compiles only its
     own dependencies. The strata must jointly equal ``dependencies``.
-    Ignored on the legacy kernel and when ``checkpoint`` is requested
-    (the stratified runner is not checkpointable).
+    Ignored when ``checkpoint`` is requested (the stratified runner is
+    not checkpointable).
     """
-    kernel = kernel if kernel is not None else DEFAULT_KERNEL
-    if kernel not in _KERNELS:
-        raise ValueError(f"unknown chase kernel {kernel!r} (use one of {_KERNELS})")
+    from repro.chase.plan import run_compiled_chase, run_stratified_chase
+
     working = instance if inplace else instance.copy()
     budget = budget if budget is not None else Budget()
     stats = budget.start()
     fresh = null_factory if null_factory is not None else NullFactory()
     trace: list[ChaseStep] = []
-    fired: set[Trigger] = set()
 
     def finish(status: ChaseStatus) -> ChaseResult:
         return ChaseResult(status=status, instance=working, steps=trace, stats=stats)
 
-    if kernel == "compiled" and variant is not ChaseVariant.OBLIVIOUS:
-        from repro.chase.plan import run_compiled_chase, run_stratified_chase
-
-        # The kernel performs the initial goal check itself (through the
-        # compiled goal plan when the goal exposes one), so the pre-check
-        # here would be redundant generic-homomorphism work.
-        if strata is not None and len(strata) > 1 and not checkpoint:
-            return run_stratified_chase(
-                working,
-                strata,
-                stats=stats,
-                fresh=fresh,
-                trace=trace,
-                goal=goal,
-                record_trace=record_trace,
-                finish=finish,
-            )
-        return run_compiled_chase(
+    # The kernel performs the initial goal check itself (through the
+    # compiled goal plan when the goal exposes one).
+    if strata is not None and len(strata) > 1 and not checkpoint:
+        return run_stratified_chase(
             working,
-            dependencies,
+            strata,
             stats=stats,
             fresh=fresh,
             trace=trace,
             goal=goal,
             record_trace=record_trace,
             finish=finish,
-            checkpoint=checkpoint,
         )
-
-    if goal is not None and goal(working):
-        return finish(ChaseStatus.GOAL_REACHED)
-
-    if variant is ChaseVariant.SEMI_NAIVE:
-        return _chase_semi_naive(
-            working, dependencies, stats, fresh, trace, goal, record_trace, finish
-        )
-
-    while True:
-        progress = False
-        for dependency in dependencies:
-            # Snapshot the triggers for this dependency: firing mutates the
-            # instance, and iterating homomorphisms over a moving target is
-            # not safe. Activity is re-checked against the live instance
-            # right before each firing.
-            for trigger in list(iter_triggers(working, dependency)):
-                if variant is ChaseVariant.STANDARD:
-                    if not trigger.is_active(working):
-                        continue
-                else:
-                    if trigger in fired:
-                        continue
-                    fired.add(trigger)
-                step = fire_trigger(working, trigger, fresh)
-                stats.note_step()
-                for __ in step.added_rows:
-                    stats.note_row()
-                progress = True
-                if record_trace:
-                    trace.append(step)
-                if goal is not None and goal(working):
-                    return finish(ChaseStatus.GOAL_REACHED)
-                if stats.exhausted(len(working)):
-                    return finish(ChaseStatus.BUDGET_EXHAUSTED)
-        if not progress:
-            return finish(ChaseStatus.TERMINATED)
-
-
-def _chase_semi_naive(
-    working: Instance,
-    dependencies: Sequence[Dependency],
-    stats,
-    fresh: NullFactory,
-    trace: list[ChaseStep],
-    goal: Optional[Goal],
-    record_trace: bool,
-    finish,
-) -> ChaseResult:
-    """Round-based restricted chase, enumerating only delta-touching triggers.
-
-    Correctness rests on two monotonicity facts: (1) every match is first
-    possible in the round its newest row was added, so scanning matches
-    touching the previous round's delta covers all new triggers; (2) a
-    trigger found inactive stays inactive forever (adding rows only adds
-    conclusion extensions), so never revisiting old matches loses nothing.
-    """
-    from repro.chase.trigger import iter_triggers_touching
-
-    delta: set = set(working.rows)
-    while delta:
-        added_this_round: set = set()
-        for dependency in dependencies:
-            for trigger in list(
-                iter_triggers_touching(working, dependency, delta)
-            ):
-                if not trigger.is_active(working):
-                    continue
-                step = fire_trigger(working, trigger, fresh)
-                added_this_round.update(step.added_rows)
-                stats.note_step()
-                for __ in step.added_rows:
-                    stats.note_row()
-                if record_trace:
-                    trace.append(step)
-                if goal is not None and goal(working):
-                    return finish(ChaseStatus.GOAL_REACHED)
-                if stats.exhausted(len(working)):
-                    return finish(ChaseStatus.BUDGET_EXHAUSTED)
-        delta = added_this_round
-    return finish(ChaseStatus.TERMINATED)
-
-
-def fire_trigger(
-    instance: Instance, trigger: Trigger, fresh: NullFactory
-) -> ChaseStep:
-    """Fire ``trigger`` on ``instance`` (in place) and return the step.
-
-    Every existential variable of the dependency receives one fresh
-    labelled null, shared across all conclusion atoms — this sharing is
-    what distinguishes a genuine EID conclusion conjunction from the weaker
-    split into independent TDs.
-    """
-    dependency = trigger.dependency
-    existential_values: dict[Variable, Value] = {
-        variable: fresh() for variable in dependency.existential_variables()
-    }
-    rows = trigger.conclusion_rows(existential_values)
-    added = tuple(row for row in rows if instance.add(row))
-    return ChaseStep(
-        dependency=dependency,
-        bindings=trigger.bindings,
-        added_rows=added,
+    return run_compiled_chase(
+        working,
+        dependencies,
+        stats=stats,
+        fresh=fresh,
+        trace=trace,
+        goal=goal,
+        record_trace=record_trace,
+        finish=finish,
+        checkpoint=checkpoint,
     )
 
 

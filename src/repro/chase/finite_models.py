@@ -27,6 +27,7 @@ import time
 from typing import Optional, Sequence
 
 from repro.chase.checkplan import ModelChecker
+from repro.chase.implication import _freeze_target
 from repro.dependencies.classify import Dependency
 from repro.dependencies.template import Variable
 from repro.relational.instance import Instance
@@ -39,7 +40,6 @@ def search_exhaustive(
     *,
     domain_size: int = 2,
     max_candidates: int = 100_000,
-    checker: Optional[str] = None,
 ) -> Optional[Instance]:
     """Enumerate all instances over ``domain_size`` values per column.
 
@@ -72,7 +72,7 @@ def search_exhaustive(
     for size in range(1, len(row_space) + 1):
         for rows in itertools.combinations(row_space, size):
             candidate = Instance(schema, rows)
-            model = ModelChecker(candidate, checker=checker)
+            model = ModelChecker(candidate)
             if model.find_violation(target) is None:
                 continue
             if model.satisfies_all(dependencies):
@@ -106,7 +106,6 @@ def search_random(
     max_rows: int = 60,
     max_fresh_per_column: int = 3,
     max_seconds: float = 10.0,
-    checker: Optional[str] = None,
 ) -> Optional[Instance]:
     """Randomized bounded-domain chase for a finite counterexample.
 
@@ -124,7 +123,7 @@ def search_random(
     for __ in range(restarts):
         if time.monotonic() >= deadline:
             return None
-        start, __frozen = _frozen_start(target)
+        start, __frozen = _freeze_target(target)
         witness = _attempt(
             start,
             dependencies,
@@ -134,25 +133,10 @@ def search_random(
             max_rows=max_rows,
             max_fresh_per_column=max_fresh_per_column,
             deadline=deadline,
-            checker=checker,
         )
         if witness is not None:
             return witness
     return None
-
-
-def _frozen_start(target: Dependency) -> tuple[Instance, dict[Variable, Value]]:
-    assignment: dict[Variable, Value] = {}
-    for variable in sorted(target.universal_variables(), key=lambda v: v.name):
-        assignment[variable] = Const(("frozen", variable.name))
-    instance = Instance(
-        target.schema,
-        (
-            tuple(assignment[variable] for variable in atom)
-            for atom in target.antecedents
-        ),
-    )
-    return instance, assignment
 
 
 def _attempt(
@@ -165,13 +149,12 @@ def _attempt(
     max_rows: int,
     max_fresh_per_column: int,
     deadline: float,
-    checker: Optional[str] = None,
 ) -> Optional[Instance]:
     fresh_budget: dict[int, int] = {}
     # One checker for the whole attempt: conclusion rows are added
     # through it, so the compiled kernel state stays synchronized
     # incrementally instead of being rebuilt per find_violation call.
-    model = ModelChecker(instance, checker=checker)
+    model = ModelChecker(instance)
     for __ in range(max_repairs):
         if time.monotonic() >= deadline:
             return None
@@ -229,7 +212,6 @@ def search_finite_counterexample(
     exhaustive_domain_size: int = 2,
     restarts: int = 50,
     max_seconds: float = 10.0,
-    checker: Optional[str] = None,
 ) -> Optional[Instance]:
     """Try the exhaustive search on tiny domains, then the randomized one.
 
@@ -237,7 +219,7 @@ def search_finite_counterexample(
     model-checked against every dependency and the target).
     """
     witness = search_exhaustive(
-        dependencies, target, domain_size=exhaustive_domain_size, checker=checker
+        dependencies, target, domain_size=exhaustive_domain_size
     )
     if witness is not None:
         return witness
@@ -247,5 +229,4 @@ def search_finite_counterexample(
         seed=seed,
         restarts=restarts,
         max_seconds=max_seconds,
-        checker=checker,
     )

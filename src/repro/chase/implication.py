@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.chase.budget import Budget
-from repro.chase.engine import ChaseVariant, chase
+from repro.chase.engine import chase
 from repro.chase.result import ChaseResult, ChaseStatus
 from repro.dependencies.classify import Dependency
 from repro.dependencies.template import Variable, is_variable
@@ -121,21 +121,13 @@ def conclusion_satisfied(
     instance: Instance,
     target: Dependency,
     frozen: dict[Variable, Value],
-    *,
-    engine: Optional[str] = None,
 ) -> bool:
-    """Does ``instance`` contain the target's conclusion at the frozen match?
-
-    One-shot calls (verifying a finished chase, the differential
-    suites) run on the compiled homomorphism engine by default;
-    ``engine`` / ``REPRO_HOM_ENGINE`` select the generic search.
-    """
+    """Does ``instance`` contain the target's conclusion at the frozen match?"""
     witness = find_homomorphism(
         target.conclusions,
         instance,
         partial=frozen,
         flexible=is_variable,
-        engine=engine,
     )
     return witness is not None
 
@@ -143,10 +135,10 @@ def conclusion_satisfied(
 class ConclusionGoal:
     """The implication goal as an object the compiled kernel can compile.
 
-    Calling it behaves exactly like ``conclusion_satisfied`` (the legacy
-    kernel and ad-hoc callers use that path); the ``goal_atoms`` /
-    ``goal_partial`` attributes let :mod:`repro.chase.plan` compile the
-    same check into an int-index probe it evaluates after every firing.
+    Calling it is ``conclusion_satisfied`` (for ad-hoc callers); the
+    ``goal_atoms`` / ``goal_partial`` attributes let
+    :mod:`repro.chase.plan` compile the same check into an int-index
+    probe it evaluates after every firing.
     """
 
     __slots__ = ("target", "goal_atoms", "goal_partial", "goal_plan_cache")
@@ -160,47 +152,7 @@ class ConclusionGoal:
         self.goal_plan_cache = None
 
     def __call__(self, instance: Instance) -> bool:
-        # Pinned to the legacy homomorphism engine: the legacy chase
-        # kernel evaluates the goal after *every* firing on a mutating
-        # instance, where a compiled one-shot would rebuild its interned
-        # view per call (the compiled kernel uses the incremental
-        # GoalPlan path instead, so it never comes through here).
-        return conclusion_satisfied(
-            instance, self.target, self.goal_partial, engine="legacy"
-        )
-
-
-class FrozenStart:
-    """A target's frozen start, shareable across repeated chases.
-
-    The variant-racing scheduler chases the *same* frozen antecedent
-    database once per race arm; without sharing, every arm re-freezes
-    the target, re-interns the start rows into a fresh
-    :class:`~repro.relational.values.InternTable`, and re-compiles the
-    goal plan. A ``FrozenStart`` freezes once and hands each arm a
-    fresh mutable copy that shares the original's intern table (ids
-    only ever grow, so ids minted by one arm stay valid for the next —
-    the kernel state built over the copy reuses them instead of
-    re-interning from scratch) and the :class:`ConclusionGoal` object,
-    whose ``goal_plan_cache`` then carries the compiled goal across
-    arms. ``reuses`` counts the arms that avoided a rebuild.
-    """
-
-    __slots__ = ("target", "instance", "frozen", "goal", "reuses", "_handed")
-
-    def __init__(self, target: Dependency):
-        self.target = target
-        self.instance, self.frozen = _freeze_target(target)
-        self.goal = ConclusionGoal(target, self.frozen)
-        self.reuses = 0
-        self._handed = False
-
-    def fresh_start(self) -> Instance:
-        """A mutable copy of the frozen start for one chase arm."""
-        if self._handed:
-            self.reuses += 1
-        self._handed = True
-        return self.instance.copy(share_intern=True)
+        return conclusion_satisfied(instance, self.target, self.goal_partial)
 
 
 def implies(
@@ -208,23 +160,13 @@ def implies(
     target: Dependency,
     *,
     budget: Optional[Budget] = None,
-    variant: ChaseVariant = ChaseVariant.STANDARD,
     record_trace: bool = True,
-    kernel: Optional[str] = None,
-    start: Optional[FrozenStart] = None,
     checkpoint: bool = False,
     analysis: str = "auto",
 ) -> InferenceOutcome:
     """Test whether ``dependencies ⊨ target`` by chasing the frozen target.
 
-    ``kernel`` selects the chase kernel (compiled by default; see
-    :func:`repro.chase.engine.chase`) — the benchmarks and differential
-    tests use it to pin a side of the comparison. ``start`` passes a
-    :class:`FrozenStart` built from the *same* target, so callers that
-    chase one target repeatedly (the variant-racing scheduler) share
-    its intern table and compiled goal plan across arms.
-
-    ``checkpoint`` asks the compiled kernel to attach the suspended
+    ``checkpoint`` asks the kernel to attach the suspended
     chase state to an UNKNOWN outcome's ``chase_result.checkpoint``; a
     covering-budget retry can then resume via
     :func:`repro.chase.checkpoint.resume_implies`.
@@ -243,13 +185,8 @@ def implies(
     * ``"off"`` — pre-analyzer behavior, no annotation; also what the
       analyzer itself uses for its internal entailment checks.
     """
-    if start is not None:
-        if start.target != target:
-            raise ValueError("FrozenStart was built for a different target")
-        working, frozen, goal = start.fresh_start(), start.frozen, start.goal
-    else:
-        working, frozen = _freeze_target(target)
-        goal = ConclusionGoal(target, frozen)
+    working, frozen = _freeze_target(target)
+    goal = ConclusionGoal(target, frozen)
     run_dependencies = list(dependencies)
     run_budget = budget
     run_checkpoint = checkpoint
@@ -261,14 +198,7 @@ def implies(
         program = prune_for_target(tuple(dependencies), target)
         derived = None
         certificate = program.certificate
-        # The certified bound counts once-per-frontier-assignment
-        # firings, a restricted-chase fact; the oblivious variant fires
-        # per trigger and stays on the legacy budgeted path.
-        if (
-            certificate is not None
-            and variant is not ChaseVariant.OBLIVIOUS
-            and (budget is None or analysis == "derive")
-        ):
+        if certificate is not None and (budget is None or analysis == "derive"):
             derived = certificate.derived_budget(
                 len(working.active_domain()), len(working)
             )
@@ -285,18 +215,16 @@ def implies(
         provenance = program.provenance(
             applied=derived is not None, derived=derived
         )
-    # The start is a fresh (copy of the) frozen database never reused
-    # afterwards, so the chase may mutate it directly instead of paying
-    # a defensive copy.
+    # The start is a fresh frozen database never reused afterwards, so
+    # the chase may mutate it directly instead of paying a defensive
+    # copy.
     result = chase(
         working,
         run_dependencies,
         budget=run_budget,
-        variant=variant,
         goal=goal,
         record_trace=record_trace,
         inplace=True,
-        kernel=kernel,
         checkpoint=run_checkpoint,
         strata=run_strata,
     )

@@ -59,7 +59,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from repro.chase.budget import Budget
-from repro.chase.checkplan import find_violation, resolve_checker
+from repro.chase.checkplan import find_violation
 from repro.chase.plan import ChaseSession
 from repro.chase.result import ChaseResult, ChaseStatus
 from repro.dependencies.classify import Dependency
@@ -194,13 +194,11 @@ class MaintainedModel:
         rows: Iterable[Row] = (),
         *,
         budget: Optional[Budget] = None,
-        checker: Optional[str] = None,
         instruments: Optional[MaintainInstruments] = None,
     ):
         self.schema = schema
         self.dependencies = tuple(dependencies)
         self.budget = budget if budget is not None else Budget()
-        self.checker = resolve_checker(checker)
         self.instruments = instruments
         self.instance = Instance(schema)
         #: The extensional rows: what the model is a universal model of.
@@ -429,10 +427,7 @@ class MaintainedModel:
         instance's mutation epoch.
         """
         watch = Stopwatch()
-        verdict = (
-            find_violation(dependency, self.core(), checker=self.checker)
-            is None
-        )
+        verdict = find_violation(dependency, self.core()) is None
         instruments = self.instruments
         if instruments is not None:
             instruments.queries.labels(kind="implies").inc()

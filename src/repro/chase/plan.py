@@ -1,11 +1,11 @@
-"""Compiled join plans and the compiled chase kernel.
+"""Compiled join plans and the chase kernel.
 
-The generic engine re-derives its join strategy on every backtracking
-node: :func:`repro.relational.homomorphism.iter_homomorphisms` recounts
-bound cells to pick the next atom, rebuilds column probe patterns per
-candidate, and keys assignments on :class:`Variable` objects through
-dict hashing. A dependency's antecedent structure never changes, so all
-of that can be decided **once**:
+A generic backtracking search re-derives its join strategy on every
+node: it recounts bound cells to pick the next atom, rebuilds column
+probe patterns per candidate, and keys assignments on
+:class:`Variable` objects through dict hashing. A dependency's
+antecedent structure never changes, so all of that is decided
+**once**:
 
 * a :class:`JoinPlan` fixes, per dependency, an atom join order chosen
   by static analysis (shared-variable connectivity), flat integer
@@ -24,23 +24,22 @@ of that can be decided **once**:
   every dependency, and a per-dependency *evaluated* memo never
   re-checks a match across rounds (activity is monotone: a trigger once
   fired or found inactive stays inactive forever);
-* the compiled chase loop is delta-driven for both ``STANDARD`` and
-  ``SEMI_NAIVE`` (round one's delta is the whole instance, which *is*
-  the standard restricted chase with semi-naive bookkeeping).
+* the chase loop is delta-driven: round one's delta is the whole
+  instance, which *is* the standard restricted chase with semi-naive
+  bookkeeping.
 
 The row/step/walker primitives live in :mod:`repro.kernel.joins` — the
-engine layer this module shares with the compiled model checker
-(:mod:`repro.chase.checkplan`) and the compiled homomorphism engine
-(:mod:`repro.relational.homplan`). ``KernelState``,
-``atom_equality_pattern`` and ``memoized`` are re-exported here for
-their existing importers.
+engine layer this module shares with the model checker
+(:mod:`repro.chase.checkplan`) and homomorphism search
+(:mod:`repro.relational.homplan`). ``KernelState`` and ``memoized``
+are re-exported here for their existing importers.
 
-The kernel is differentially equal to the generic engine: same
+The differential suites hold the kernel to the round-based generic
+chase kept in ``tests/oracle``: same
 :class:`~repro.chase.result.ChaseStatus`, replay-valid traces, and
 final instances that agree up to null renaming (exactly, for full
-dependency sets). Firing *order* inside a round may differ — as it
-already does between hash-seed runs of the generic engine — which is
-why the differential suite compares semantics, not step sequences.
+dependency sets). Firing *order* inside a round may differ, which is
+why they compare semantics, not step sequences.
 """
 
 from __future__ import annotations
@@ -113,7 +112,7 @@ class JoinPlan:
             slot_of[variable] = len(slot_of)
         self.n_slots = len(slot_of)
         #: (name, universal slot) pairs in name order — the trace binding
-        #: layout, matching ``Trigger.make``'s sorted tuples.
+        #: layout of :attr:`ChaseStep.bindings`.
         self.binding_pairs = tuple(
             (variable.name, slot_of[variable]) for variable in universals
         )
@@ -210,8 +209,8 @@ class GoalPlan:
 
     Used for the implication goal ("has the frozen conclusion image
     appeared?") which the engine evaluates after *every* firing — the
-    compiled kernel probes the int-row index instead of running the
-    generic homomorphism search each time. Built from any goal object
+    kernel probes the int-row index instead of running a one-shot
+    homomorphism search each time. Built from any goal object
     exposing ``goal_atoms`` and ``goal_partial`` (see
     :class:`repro.chase.implication.ConclusionGoal`).
     """
@@ -320,8 +319,8 @@ def _collect_matches(
 ) -> list[tuple[int, ...]]:
     """All new matches of ``plan`` over its dispatched seeds.
 
-    Enumerated against the live instance *before* any firing, like the
-    generic engine's trigger snapshot; deduplicated within the round
+    Enumerated against the live instance *before* any firing (a
+    trigger snapshot); deduplicated within the round
     (several pivots can land on one match) and against the cross-round
     ``evaluated`` memo (activity monotonicity makes old matches dead).
     """
@@ -463,7 +462,7 @@ class ChaseSession:
         plans = self.plans
         # The implication goal exposes its conclusion atoms; compile it
         # so the after-every-firing check probes the int index instead
-        # of running the generic homomorphism search.
+        # of running a one-shot homomorphism search.
         goal_atoms = getattr(goal, "goal_atoms", None)
         goal_plan: Optional[GoalPlan] = None
         goal_regs: list[int] = []
@@ -477,7 +476,7 @@ class ChaseSession:
                     pass
             goal_regs = goal_plan.registers(state)
         # Initial goal check (the engine defers it to the kernel so it
-        # can run on the compiled plan instead of the generic search).
+        # can run on the compiled goal plan).
         if goal_plan is not None:
             if goal_plan.satisfied(state, goal_regs):
                 return finish(ChaseStatus.GOAL_REACHED)
@@ -582,15 +581,14 @@ def run_compiled_chase(
     finish: Callable[[ChaseStatus], ChaseResult],
     checkpoint: bool = False,
 ) -> ChaseResult:
-    """The compiled restricted chase (STANDARD and SEMI_NAIVE fold here).
+    """The restricted chase on the compiled kernel.
 
     Delta-driven rounds: round one's delta is the whole instance, later
     rounds only the rows added in the previous round. Per dependency,
     matches touching the delta are enumerated through the compiled
     pivot plans, deduplicated against the cross-round ``evaluated``
-    memo, then fired in order with a live activity re-check — the same
-    discipline (snapshot, then re-check activity right before firing)
-    as the generic engine, so traces replay identically.
+    memo, then fired in order with a live activity re-check (snapshot,
+    then re-check activity right before firing), so traces replay.
 
     One-shot wrapper over :class:`ChaseSession`: seeds the delta with
     the whole instance and discards the session afterwards. Long-lived

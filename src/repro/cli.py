@@ -96,11 +96,6 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="FILE",
         help="JSON-lines result cache; read on start, appended on new verdicts",
     )
-    batch_cmd.add_argument(
-        "--race",
-        action="store_true",
-        help="race the STANDARD and SEMI_NAIVE chase per query",
-    )
     batch_cmd.add_argument("--max-steps", type=int, default=10_000)
     batch_cmd.add_argument("--max-seconds", type=float, default=30.0)
     batch_cmd.add_argument(
@@ -128,11 +123,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--cache-path",
         metavar="FILE",
         help="JSON-lines disk cache tier; verdicts survive restarts",
-    )
-    serve_cmd.add_argument(
-        "--race",
-        action="store_true",
-        help="race the STANDARD and SEMI_NAIVE chase per query",
     )
     serve_cmd.add_argument(
         "--window-ms",
@@ -362,7 +352,6 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     with InferenceService(
         cache=ResultCache(store=store),
         workers=args.workers,
-        race_variants=args.race,
         share_budget=args.share_budget,
     ) as service:
         report = service.run_batch(
@@ -414,7 +403,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     service = InferenceService(
         cache=ResultCache(store=store),
         workers=args.workers,
-        race_variants=args.race,
         max_restarts=args.max_restarts,
     )
     server = InferenceServer(
@@ -685,7 +673,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     import json
 
     from repro.analysis import analyze, prune_for_target
-    from repro.chase.implication import FrozenStart
+    from repro.chase.implication import _freeze_target
 
     dependencies = parse_dependency_file(Path(args.deps).read_text())
     schema = dependencies[0].schema if dependencies else None
@@ -698,9 +686,9 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     program = prune_for_target(tuple(dependencies), target)
     derived = None
     if program.certificate is not None and target is not None:
-        start = FrozenStart(target)
+        start, __ = _freeze_target(target)
         derived = program.certificate.derived_budget(
-            len(start.instance.active_domain()), len(start.instance)
+            len(start.active_domain()), len(start)
         )
     if args.json:
         payload = program.provenance(

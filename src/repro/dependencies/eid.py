@@ -133,29 +133,22 @@ class EmbeddedImplicationalDependency:
     # Semantics
     # ------------------------------------------------------------------
 
-    def holds_in(
-        self, instance: Instance, *, checker: Optional[str] = None
-    ) -> bool:
-        """Model checking against a database instance.
+    def holds_in(self, instance: Instance) -> bool:
+        """Model checking against a database instance (the compiled
+        join-plan checker of :mod:`repro.chase.checkplan`)."""
+        return self.find_violation(instance) is None
 
-        Compiled join-plan checker by default; ``checker="legacy"``
-        selects the generic search (see :mod:`repro.chase.checkplan`).
-        """
-        return self.find_violation(instance, checker=checker) is None
-
-    def find_violation(
-        self, instance: Instance, *, checker: Optional[str] = None
-    ) -> Optional[dict]:
+    def find_violation(self, instance: Instance) -> Optional[dict]:
         """Return a violating antecedent homomorphism, or None.
 
         Shares one implementation with
         :class:`~repro.dependencies.template.TemplateDependency` (a TD is
-        this with a one-atom conclusion conjunction), dispatched in
+        this with a one-atom conclusion conjunction), in
         :mod:`repro.chase.checkplan`.
         """
         from repro.chase.checkplan import find_violation
 
-        return find_violation(self, instance, checker=checker)
+        return find_violation(self, instance)
 
     # ------------------------------------------------------------------
     # Display

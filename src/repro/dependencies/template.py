@@ -230,32 +230,26 @@ class TemplateDependency:
     # Semantics
     # ------------------------------------------------------------------
 
-    def holds_in(
-        self, instance: Instance, *, checker: Optional[str] = None
-    ) -> bool:
+    def holds_in(self, instance: Instance) -> bool:
         """Model checking: does ``instance`` satisfy this dependency?
 
         True when every homomorphism of the antecedents into the instance
-        extends to one of the conclusion. Runs on the compiled join-plan
-        checker by default (``checker="legacy"`` selects the generic
-        search; see :mod:`repro.chase.checkplan`).
+        extends to one of the conclusion (the compiled join-plan checker
+        of :mod:`repro.chase.checkplan`).
         """
-        return self.find_violation(instance, checker=checker) is None
+        return self.find_violation(instance) is None
 
-    def find_violation(
-        self, instance: Instance, *, checker: Optional[str] = None
-    ) -> Optional[dict]:
+    def find_violation(self, instance: Instance) -> Optional[dict]:
         """Return a violating antecedent homomorphism, or None.
 
         A violation is an assignment of the universal variables under which
         every antecedent is present but no conclusion tuple exists. The
         implementation is shared with EIDs (a TD is the one-conclusion-atom
-        special case) and dispatches between the compiled and legacy
-        checkers in :mod:`repro.chase.checkplan`.
+        special case) in :mod:`repro.chase.checkplan`.
         """
         from repro.chase.checkplan import find_violation
 
-        return find_violation(self, instance, checker=checker)
+        return find_violation(self, instance)
 
     def freeze(
         self, fresh: Optional[NullFactory] = None

@@ -531,8 +531,8 @@ DEFAULT_CHECKPOINT_MAX_ROWS = 10_000
 def encode_checkpoint(outcome: InferenceOutcome) -> Union[Json, None]:
     """The encoded checkpoint riding an UNKNOWN outcome, or None.
 
-    None when the outcome carries no suspended chase (decided, legacy
-    kernel, capture off) or when the captured instance exceeds the
+    None when the outcome carries no suspended chase (decided, capture
+    off) or when the captured instance exceeds the
     ``REPRO_CHECKPOINT_MAX_ROWS`` cap — an oversized checkpoint costs
     more to store and ship than the resume would save.
     """

@@ -9,15 +9,13 @@ The join kernel ships two implementations of the same walker semantics:
   (``setup.py`` marks it *optional*: a missing compiler degrades the
   wheel to pure python instead of failing the install).
 
-Selection follows the existing ``REPRO_*`` engine-switch convention
-(``REPRO_CHASE_KERNEL`` / ``REPRO_MODEL_CHECKER`` / ``REPRO_HOM_ENGINE``)
-with one difference: the join backend is resolved **once per process**,
-not per call. Every compiled engine shares one set of structurally
-cached plans, and the walkers under those plans must agree within a
-process for provenance on outcomes to mean anything — so
-:func:`resolve_join_backend` is a single cached function and every
-layer (the chase, the model checker, the hom engine, forkserver pool
-workers) asks it instead of re-reading the environment.
+This is the one engine selector in the package, and it is resolved
+**once per process**, not per call. The chase, the model checker and
+homomorphism search share one set of structurally cached plans, and the
+walkers under those plans must agree within a process for provenance on
+outcomes to mean anything — so :func:`resolve_join_backend` is a single
+cached function and every layer (including forkserver pool workers)
+asks it instead of re-reading the environment.
 
 ``REPRO_JOIN_BACKEND`` values:
 
@@ -43,9 +41,7 @@ from typing import Optional
 
 logger = logging.getLogger(__name__)
 
-#: The engine-selector environment variable, following the
-#: ``REPRO_CHASE_KERNEL`` / ``REPRO_MODEL_CHECKER`` / ``REPRO_HOM_ENGINE``
-#: naming convention.
+#: The backend-selector environment variable.
 ENV_VAR = "REPRO_JOIN_BACKEND"
 
 #: Accepted ``REPRO_JOIN_BACKEND`` values.

@@ -38,8 +38,7 @@ functions dispatch on the process-wide resolved backend
 (:func:`repro.kernel.backend.resolve_join_backend`,
 ``REPRO_JOIN_BACKEND=auto|native|python``); both backends are held to
 identical semantics by the seeded differential suites, which
-parametrize over the backend exactly as they do over the
-compiled/legacy engine split.
+parametrize over the backend.
 
 NOTE: the candidate loop (smallest-bucket probe selection, single-probe
 no-verify and all-bound-membership fast paths, bind-then-check order) is
@@ -123,9 +122,8 @@ def atom_equality_pattern(atom: Sequence[Hashable]) -> ColumnSlots:
     """Column pairs a row must agree on to unify with ``atom``.
 
     Works over any hashable atom terms — the compiled kernel passes
-    integer slots, the legacy delta enumeration
-    (:func:`repro.chase.trigger.iter_triggers_touching`) passes
-    :class:`~repro.dependencies.template.Variable` atoms. A repeated
+    integer slots; :class:`~repro.dependencies.template.Variable` atoms
+    work as well. A repeated
     term is the only way an all-variable atom can reject a row, so this
     pattern is the complete row-level dispatch filter.
     """
@@ -165,7 +163,7 @@ def compile_steps(
 ) -> tuple[AtomStep, ...]:
     """Greedy most-constrained-first order over ``atom_slots``.
 
-    Mirrors the generic engine's heuristic, decided once: prefer the
+    The generic backtracking heuristic, decided once: prefer the
     atom with the most already-bound cells, tie-break on fewer new
     slots, then on input order (deterministic).
     """

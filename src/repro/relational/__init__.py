@@ -10,12 +10,10 @@ pairwise disjoint (the *typing restriction*). It provides:
   (named constants and chase-invented labelled nulls);
 * :class:`~repro.relational.instance.Instance` — a finite set of typed
   tuples with per-column indexes for fast trigger enumeration;
-* homomorphism search — the generic reference engine
-  (:mod:`repro.relational.homomorphism`) and the compiled engine on the
-  shared join kernel (:mod:`repro.relational.homplan`, the default;
-  select per call with ``engine=`` or process-wide with
-  ``REPRO_HOM_ENGINE``) — plus direct products
-  (:mod:`repro.relational.product`) and cores
+* homomorphism search on the shared join kernel
+  (:mod:`repro.relational.homplan`; the vocabulary it shares with the
+  certificate checker is :mod:`repro.relational.homomorphism`) — plus
+  direct products (:mod:`repro.relational.product`) and cores
   (:mod:`repro.relational.core`).
 """
 
@@ -27,7 +25,6 @@ from repro.relational.homplan import (
     find_homomorphism,
     find_retraction_assignment,
     iter_homomorphisms,
-    resolve_engine,
 )
 from repro.relational.instance import Instance
 from repro.relational.product import direct_product, power
@@ -56,5 +53,4 @@ __all__ = [
     "find_retraction",
     "find_retraction_assignment",
     "is_core",
-    "resolve_engine",
 ]

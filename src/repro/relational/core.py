@@ -4,18 +4,14 @@ The *core* of an instance is a smallest sub-instance it retracts onto: a
 homomorphic image, fixing constants, that cannot be shrunk further. Chase
 results are only unique up to homomorphic equivalence, and cores are the
 canonical representatives — two terminating chase runs of the same problem
-have isomorphic cores. The test suite uses cores to compare chase variants,
+have isomorphic cores. The test suite uses cores to compare chase runs,
 and the benchmarks use them to measure redundancy introduced by the
 oblivious chase.
 
 Core computation is NP-hard in general; the implementation here is the
-standard iterated-retraction algorithm. Retraction search runs on the
-compiled homomorphism engine by default
-(:func:`repro.relational.homplan.find_retraction_assignment` — the
-image-shrinks early-exit walk over the shared join kernel); pass
-``engine="legacy"`` (or set ``REPRO_HOM_ENGINE=legacy``) for the generic
-backtracking search, the reference semantics the differential suite
-holds the engine to.
+standard iterated-retraction algorithm. Retraction search is
+:func:`repro.relational.homplan.find_retraction_assignment`, the
+image-shrinks early-exit walk over the shared join kernel.
 """
 
 from __future__ import annotations
@@ -27,9 +23,7 @@ from repro.relational.instance import Instance
 from repro.relational.values import is_null
 
 
-def find_retraction(
-    instance: Instance, *, engine: Optional[str] = None
-) -> Optional[Assignment]:
+def find_retraction(instance: Instance) -> Optional[Assignment]:
     """Find a proper retraction of ``instance``, if one exists.
 
     A proper retraction is an endomorphism (constants fixed, nulls mapped
@@ -38,16 +32,14 @@ def find_retraction(
     """
     from repro.relational.homplan import find_retraction_assignment
 
-    return find_retraction_assignment(
-        list(instance.rows), instance, engine=engine
-    )
+    return find_retraction_assignment(list(instance.rows), instance)
 
 
-def core_of(instance: Instance, *, engine: Optional[str] = None) -> Instance:
+def core_of(instance: Instance) -> Instance:
     """Compute the core of ``instance`` by iterated proper retraction."""
     current = instance.copy()
     while True:
-        retraction = find_retraction(current, engine=engine)
+        retraction = find_retraction(current)
         if retraction is None:
             return current
         current = Instance(
@@ -56,14 +48,12 @@ def core_of(instance: Instance, *, engine: Optional[str] = None) -> Instance:
         )
 
 
-def is_core(instance: Instance, *, engine: Optional[str] = None) -> bool:
+def is_core(instance: Instance) -> bool:
     """Return True when ``instance`` admits no proper retraction."""
-    return find_retraction(instance, engine=engine) is None
+    return find_retraction(instance) is None
 
 
-def homomorphically_equivalent(
-    left: Instance, right: Instance, *, engine: Optional[str] = None
-) -> bool:
+def homomorphically_equivalent(left: Instance, right: Instance) -> bool:
     """True when homomorphisms exist in both directions (constants fixed).
 
     Nulls are the flexible terms; constants must be preserved. Two
@@ -74,10 +64,10 @@ def homomorphically_equivalent(
 
     if left.schema != right.schema:
         return False
-    forward = find_homomorphism(left.rows, right, engine=engine)
+    forward = find_homomorphism(left.rows, right)
     if forward is None:
         return False
-    backward = find_homomorphism(right.rows, left, engine=engine)
+    backward = find_homomorphism(right.rows, left)
     return backward is not None
 
 

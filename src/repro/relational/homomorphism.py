@@ -1,4 +1,4 @@
-"""Homomorphism search between tuple sets.
+"""Homomorphism vocabulary shared by every engine and checker.
 
 A *homomorphism* from a set of source rows into a target
 :class:`~repro.relational.instance.Instance` is a mapping of the source's
@@ -6,168 +6,27 @@ flexible terms (labelled nulls, or dependency variables) to target values
 such that every source row, after substitution, is a row of the target.
 Rigid terms (constants) must map to themselves.
 
-This is the workhorse of the whole library: dependency satisfaction, chase
-triggers, implication testing and core computation are all homomorphism
-problems. The search is a backtracking join over the target's per-cell
-indexes, always expanding the source row with the most already-bound
-components first (a most-constrained-first heuristic).
-
-Because the paper's databases are *typed* (disjoint column domains), a term
-only ever needs to range over values of its own column, which the index
-lookups enforce automatically.
+This module holds the types and the two search-free operations:
+:func:`is_homomorphism` checks a given assignment and
+:func:`apply_assignment` substitutes one. The certificate checker
+(:func:`repro.chase.engine.apply_step`) needs nothing more. The search
+itself — dependency satisfaction, chase triggers, implication testing
+and core computation are all homomorphism problems — is
+:mod:`repro.relational.homplan`, on the shared join kernel.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
-from repro.relational.instance import Instance, Row
-from repro.relational.values import Value, is_null
+from repro.relational.instance import Instance
+from repro.relational.values import is_null
 
 #: Decides whether a source term may be remapped (variable-like) or is rigid.
 Flexibility = Callable[[object], bool]
 
 #: A (partial) homomorphism: flexible term -> target value.
 Assignment = dict
-
-
-def _row_candidates(
-    target: Instance,
-    source_row: Sequence[object],
-    assignment: Mapping,
-    flexible: Flexibility,
-) -> Iterator[Row]:
-    """Yield target rows compatible with ``source_row`` under ``assignment``."""
-    pattern: dict[int, Value] = {}
-    for column, term in enumerate(source_row):
-        if flexible(term):
-            if term in assignment:
-                pattern[column] = assignment[term]
-        else:
-            pattern[column] = term  # rigid: must match literally
-    yield from target.matching_rows(pattern)
-
-
-def _bound_count(row: Sequence[object], assignment: Mapping, flexible: Flexibility) -> int:
-    """How many components of ``row`` are already determined."""
-    return sum(
-        1
-        for term in row
-        if not flexible(term) or term in assignment
-    )
-
-
-def iter_homomorphisms(
-    source_rows: Iterable[Sequence[object]],
-    target: Instance,
-    *,
-    partial: Optional[Mapping] = None,
-    flexible: Flexibility = is_null,
-) -> Iterator[Assignment]:
-    """Yield every homomorphism of ``source_rows`` into ``target``.
-
-    ``partial`` pre-binds some flexible terms (its bindings are honoured but
-    not re-checked against rigidity). ``flexible`` classifies source terms;
-    the default treats labelled nulls as variables and everything else as
-    rigid, which is the right notion for instance-to-instance homomorphisms.
-
-    Yields assignment dicts covering every flexible term of the source.
-    The same dict object is reused between yields; callers that store
-    results must copy them (``dict(h)``).
-    """
-    rows = [tuple(row) for row in source_rows]
-    assignment: Assignment = dict(partial) if partial else {}
-    yield from _search(rows, target, assignment, flexible)
-
-
-def _search(
-    pending: list[tuple],
-    target: Instance,
-    assignment: Assignment,
-    flexible: Flexibility,
-) -> Iterator[Assignment]:
-    if not pending:
-        yield assignment
-        return
-    # Most-constrained-first: pick the pending row with the most bound cells.
-    best_index = max(
-        range(len(pending)),
-        key=lambda i: _bound_count(pending[i], assignment, flexible),
-    )
-    source_row = pending[best_index]
-    rest = pending[:best_index] + pending[best_index + 1 :]
-    for candidate in _row_candidates(target, source_row, assignment, flexible):
-        added: list[object] = []
-        ok = True
-        for term, value in zip(source_row, candidate):
-            if flexible(term):
-                bound = assignment.get(term)
-                if bound is None:
-                    assignment[term] = value
-                    added.append(term)
-                elif bound != value:
-                    ok = False
-                    break
-            elif term != value:
-                ok = False
-                break
-        if ok:
-            yield from _search(rest, target, assignment, flexible)
-        for term in added:
-            del assignment[term]
-
-
-def find_homomorphism(
-    source_rows: Iterable[Sequence[object]],
-    target: Instance,
-    *,
-    partial: Optional[Mapping] = None,
-    flexible: Flexibility = is_null,
-) -> Optional[Assignment]:
-    """Return one homomorphism (as a fresh dict) or None."""
-    for assignment in iter_homomorphisms(
-        source_rows, target, partial=partial, flexible=flexible
-    ):
-        return dict(assignment)
-    return None
-
-
-def count_homomorphisms(
-    source_rows: Iterable[Sequence[object]],
-    target: Instance,
-    *,
-    partial: Optional[Mapping] = None,
-    flexible: Flexibility = is_null,
-    limit: Optional[int] = None,
-) -> int:
-    """Count homomorphisms, optionally stopping at ``limit``."""
-    if limit is not None and limit <= 0:
-        # A non-positive limit caps the count at nothing; the old
-        # post-increment check returned 1 for ``limit=0``.
-        return 0
-    count = 0
-    for __ in iter_homomorphisms(source_rows, target, partial=partial, flexible=flexible):
-        count += 1
-        if limit is not None and count >= limit:
-            break
-    return count
-
-
-def extend_homomorphism(
-    assignment: Mapping,
-    extra_rows: Iterable[Sequence[object]],
-    target: Instance,
-    *,
-    flexible: Flexibility = is_null,
-) -> Optional[Assignment]:
-    """Extend ``assignment`` so that ``extra_rows`` also embed into ``target``.
-
-    Returns the extended assignment (a fresh dict) or None when no extension
-    exists. This is exactly the *trigger activity* test of the restricted
-    chase: a trigger is active when its antecedent homomorphism has no
-    extension covering the conclusion.
-    """
-    return find_homomorphism(extra_rows, target, partial=assignment, flexible=flexible)
 
 
 def is_homomorphism(

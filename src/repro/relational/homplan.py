@@ -1,13 +1,13 @@
-"""The compiled homomorphism engine: hom search on the shared join kernel.
+"""Homomorphism search on the shared join kernel.
 
-:mod:`repro.relational.homomorphism` is the reference semantics — a
-generic backtracking search that re-derives its join strategy at every
-node. This module compiles the same search onto the engine layer of
-:mod:`repro.kernel.joins` (the machinery already under the chase and the
-model checker): flat integer *slots* for the flexible terms, a
-most-constrained-first atom order decided once per source structure, and
-probe/bind/check column lists walked over a
-:class:`~repro.kernel.joins.KernelState`'s interned int-row index.
+The one homomorphism engine (the vocabulary — :func:`is_homomorphism`,
+:func:`apply_assignment` — lives in :mod:`repro.relational.homomorphism`).
+The search is compiled onto the engine layer of :mod:`repro.kernel.joins`
+(the machinery already under the chase and the model checker): flat
+integer *slots* for the flexible terms, a most-constrained-first atom
+order decided once per source structure, and probe/bind/check column
+lists walked over a :class:`~repro.kernel.joins.KernelState`'s interned
+int-row index.
 
 What compiles, per call shape:
 
@@ -25,8 +25,7 @@ What compiles, per call shape:
   **early-exits the moment two source atoms collapse onto one target
   row** (an image strictly smaller than the source is exactly a proper
   retraction), switching to the pure-existence walk for the remaining
-  atoms. The generic engine instead enumerates complete endomorphisms
-  and sizes their images afterwards.
+  atoms.
 
 Plans are cached structurally (two row sets with the same
 variable/constant shape and the same prebound positions share one
@@ -37,11 +36,9 @@ target's *cached* kernel view
 by the instance's mutation hooks — repeated small queries against one
 database no longer pay an O(instance) interning pass per call.
 
-Engine selection mirrors the chase kernel and the model checker: every
-entry point takes ``engine="compiled" | "legacy"`` (None means the
-process default, ``REPRO_HOM_ENGINE`` or compiled). The legacy engine
-remains the reference; ``tests/relational/test_homplan.py`` holds the
-two to identical homomorphism *sets*, not just existence.
+``tests/relational/test_homplan.py`` holds every entry point to the
+generic backtracking search kept in ``tests/oracle`` — identical
+homomorphism *sets*, not just existence.
 
 NOTE: the candidate loop in :func:`_iter_walk` (the one enumerating
 walker, a generator — the shape that stays python under every join
@@ -55,7 +52,6 @@ backend the process resolved (``REPRO_JOIN_BACKEND``).
 
 from __future__ import annotations
 
-import os
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from repro.kernel.joins import (
@@ -67,33 +63,9 @@ from repro.kernel.joins import (
     memoized,
     retraction_walk,
 )
-from repro.relational import homomorphism as _legacy
-from repro.relational.homomorphism import (
-    Assignment,
-    Flexibility,
-    apply_assignment,
-)
+from repro.relational.homomorphism import Assignment, Flexibility
 from repro.relational.instance import Instance
 from repro.relational.values import is_null
-
-#: Which engine the homomorphism entry points use when the caller does
-#: not say. Mirrors ``REPRO_CHASE_KERNEL`` / ``REPRO_MODEL_CHECKER``:
-#: flip a whole process back to the generic backtracking search for
-#: baselines and differential debugging.
-DEFAULT_ENGINE = os.environ.get("REPRO_HOM_ENGINE", "compiled")
-
-_ENGINES = ("compiled", "legacy")
-
-
-def resolve_engine(engine: Optional[str]) -> str:
-    """Normalize an ``engine=`` argument (None means the process default)."""
-    engine = engine if engine is not None else DEFAULT_ENGINE
-    if engine not in _ENGINES:
-        raise ValueError(
-            f"unknown homomorphism engine {engine!r} (use one of {_ENGINES})"
-        )
-    return engine
-
 
 class HomPlan:
     """A compiled source structure: join order + slot count.
@@ -172,8 +144,7 @@ def _load_registers(
     """Fresh registers with the prebound values interned.
 
     Interning a value the target has never seen simply mints a fresh id
-    with empty index buckets — the walk then fails its probes naturally,
-    exactly like the generic engine's empty ``matching_rows`` scan.
+    with empty index buckets — the walk then fails its probes naturally.
     """
     regs = [0] * plan.n_slots
     intern = state.intern
@@ -251,8 +222,7 @@ def _decode(
 
 
 # ---------------------------------------------------------------------------
-# Public entry points (engine-dispatching counterparts of
-# repro.relational.homomorphism)
+# Public entry points
 # ---------------------------------------------------------------------------
 
 
@@ -262,20 +232,16 @@ def iter_homomorphisms(
     *,
     partial: Optional[Mapping] = None,
     flexible: Flexibility = is_null,
-    engine: Optional[str] = None,
 ) -> Iterator[Assignment]:
     """Yield every homomorphism of ``source_rows`` into ``target``.
 
-    Same contract as
-    :func:`repro.relational.homomorphism.iter_homomorphisms` — the two
-    engines enumerate the *same set* of assignments (order may differ).
-    The compiled engine yields a fresh dict per match.
+    ``partial`` pre-binds some flexible terms (its bindings are honoured
+    but not re-checked against rigidity). ``flexible`` classifies source
+    terms; the default treats labelled nulls as variables and everything
+    else as rigid, the right notion for instance-to-instance
+    homomorphisms. Yields a fresh assignment dict per match, covering
+    every flexible term of the source.
     """
-    if resolve_engine(engine) == "legacy":
-        yield from _legacy.iter_homomorphisms(
-            source_rows, target, partial=partial, flexible=flexible
-        )
-        return
     rows = [tuple(row) for row in source_rows]
     base: dict = dict(partial) if partial else {}
     plan, prebound, out_pairs = _prepare(rows, flexible, base)
@@ -291,13 +257,8 @@ def find_homomorphism(
     *,
     partial: Optional[Mapping] = None,
     flexible: Flexibility = is_null,
-    engine: Optional[str] = None,
 ) -> Optional[Assignment]:
     """Return one homomorphism (as a fresh dict) or None."""
-    if resolve_engine(engine) == "legacy":
-        return _legacy.find_homomorphism(
-            source_rows, target, partial=partial, flexible=flexible
-        )
     rows = [tuple(row) for row in source_rows]
     base: dict = dict(partial) if partial else {}
     plan, prebound, out_pairs = _prepare(rows, flexible, base)
@@ -315,13 +276,8 @@ def count_homomorphisms(
     partial: Optional[Mapping] = None,
     flexible: Flexibility = is_null,
     limit: Optional[int] = None,
-    engine: Optional[str] = None,
 ) -> int:
     """Count homomorphisms, optionally stopping at ``limit``."""
-    if resolve_engine(engine) == "legacy":
-        return _legacy.count_homomorphisms(
-            source_rows, target, partial=partial, flexible=flexible, limit=limit
-        )
     if limit is not None and limit <= 0:
         return 0
     rows = [tuple(row) for row in source_rows]
@@ -343,11 +299,14 @@ def extend_homomorphism(
     target: Instance,
     *,
     flexible: Flexibility = is_null,
-    engine: Optional[str] = None,
 ) -> Optional[Assignment]:
-    """Extend ``assignment`` so that ``extra_rows`` also embed into ``target``."""
+    """Extend ``assignment`` so that ``extra_rows`` also embed into ``target``.
+
+    Returns the extended assignment (a fresh dict) or None when no
+    extension exists.
+    """
     return find_homomorphism(
-        extra_rows, target, partial=assignment, flexible=flexible, engine=engine
+        extra_rows, target, partial=assignment, flexible=flexible
     )
 
 
@@ -357,7 +316,6 @@ def find_retraction_assignment(
     *,
     partial: Optional[Mapping] = None,
     flexible: Flexibility = is_null,
-    engine: Optional[str] = None,
 ) -> Optional[Assignment]:
     """A homomorphism whose image has fewer rows than the source, or None.
 
@@ -370,17 +328,6 @@ def find_retraction_assignment(
     """
     rows = [tuple(row) for row in source_rows]
     base: dict = dict(partial) if partial else {}
-    if resolve_engine(engine) == "legacy":
-        for candidate in _legacy.iter_homomorphisms(
-            rows, target, partial=base, flexible=flexible
-        ):
-            image = {
-                apply_assignment(row, candidate, flexible=flexible)
-                for row in rows
-            }
-            if len(image) < len(rows):
-                return dict(candidate)
-        return None
     plan, prebound, out_pairs = _prepare(rows, flexible, base)
     state = target.kernel_view()
     regs = _load_registers(plan, prebound, state)

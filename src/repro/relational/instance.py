@@ -298,20 +298,12 @@ class Instance:
     # Derived instances
     # ------------------------------------------------------------------
 
-    def copy(self, *, share_intern: bool = False) -> "Instance":
+    def copy(self) -> "Instance":
         """An independent copy sharing the schema.
 
         Clones the row set and inverted index wholesale instead of
         re-inserting row by row (rows in ``self`` already passed the
         arity check).
-
-        ``share_intern`` hands the copy this instance's
-        :class:`~repro.relational.values.InternTable` (created now if
-        need be) instead of a lazily created private one. Safe because
-        the table is append-only — ids minted through either instance
-        stay valid for both — and worth it when many copies of one
-        start are chased (the variant-racing scheduler): each copy's
-        kernel state reuses the interning work of the previous arm.
         """
         clone = Instance.__new__(Instance)
         clone.schema = self.schema
@@ -319,7 +311,7 @@ class Instance:
         clone._index = {
             key: set(bucket) for key, bucket in self._index.items()
         }
-        clone._intern = self.intern_table if share_intern else None
+        clone._intern = None
         clone._snapshot = self._snapshot
         clone._view = None  # views subscribe to one instance only
         clone._epoch = 0

@@ -80,18 +80,11 @@ class ConjunctiveQuery:
     # Evaluation
     # ------------------------------------------------------------------
 
-    def answers(
-        self, instance: Instance, *, engine: Optional[str] = None
-    ) -> set[tuple[Value, ...]]:
-        """All head tuples produced by body homomorphisms into ``instance``.
-
-        ``engine`` selects the homomorphism engine (compiled by default;
-        see :mod:`repro.relational.homplan`), as on every query method
-        below — the differential suite pins each side.
-        """
+    def answers(self, instance: Instance) -> set[tuple[Value, ...]]:
+        """All head tuples produced by body homomorphisms into ``instance``."""
         results: set[tuple[Value, ...]] = set()
         for assignment in iter_homomorphisms(
-            self.body, instance, flexible=is_variable, engine=engine
+            self.body, instance, flexible=is_variable
         ):
             results.add(tuple(assignment[variable] for variable in self.head))
         return results
@@ -100,14 +93,10 @@ class ConjunctiveQuery:
         """True for a boolean (empty-head) query."""
         return not self.head
 
-    def holds_in(
-        self, instance: Instance, *, engine: Optional[str] = None
-    ) -> bool:
+    def holds_in(self, instance: Instance) -> bool:
         """Boolean evaluation: does the body match at all?"""
         return (
-            find_homomorphism(
-                self.body, instance, flexible=is_variable, engine=engine
-            )
+            find_homomorphism(self.body, instance, flexible=is_variable)
             is not None
         )
 
@@ -130,9 +119,7 @@ class ConjunctiveQuery:
         )
         return instance, assignment
 
-    def is_contained_in(
-        self, other: "ConjunctiveQuery", *, engine: Optional[str] = None
-    ) -> bool:
+    def is_contained_in(self, other: "ConjunctiveQuery") -> bool:
         """Chandra–Merlin: ``self ⊆ other`` iff ``other`` folds onto
         ``self``'s canonical database with heads aligned."""
         if self.schema != other.schema or len(self.head) != len(other.head):
@@ -146,30 +133,24 @@ class ConjunctiveQuery:
             if partial.setdefault(other_variable, value) != value:
                 return False
         witness = find_homomorphism(
-            other.body, canonical, partial=partial, flexible=is_variable,
-            engine=engine,
+            other.body, canonical, partial=partial, flexible=is_variable
         )
         return witness is not None
 
-    def is_equivalent_to(
-        self, other: "ConjunctiveQuery", *, engine: Optional[str] = None
-    ) -> bool:
+    def is_equivalent_to(self, other: "ConjunctiveQuery") -> bool:
         """Mutual containment."""
-        return self.is_contained_in(other, engine=engine) and other.is_contained_in(
-            self, engine=engine
-        )
+        return self.is_contained_in(other) and other.is_contained_in(self)
 
     # ------------------------------------------------------------------
     # Minimization (the CQ core)
     # ------------------------------------------------------------------
 
-    def minimized(self, *, engine: Optional[str] = None) -> "ConjunctiveQuery":
+    def minimized(self) -> "ConjunctiveQuery":
         """The minimal equivalent query: fold redundant body atoms away.
 
         Iterated proper retraction of the body fixing the head variables —
-        the query analogue of :func:`repro.relational.core.core_of`, run
-        through the same engine (the compiled retraction walk by
-        default).
+        the query analogue of :func:`repro.relational.core.core_of`, on
+        the same compiled retraction walk.
         """
         body = list(self.body)
         head_identity = {variable: variable for variable in self.head}
@@ -180,7 +161,6 @@ class ConjunctiveQuery:
                 body_instance,
                 partial=head_identity,
                 flexible=is_variable,
-                engine=engine,
             )
             if assignment is None:
                 break

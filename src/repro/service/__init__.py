@@ -10,9 +10,8 @@ must fan out across cores. This package layers exactly that on top of
   optional append-only JSON-lines disk tier), keyed by the canonical
   query hashes of :mod:`repro.dependencies.canonical`;
 * :mod:`repro.service.scheduler` — serial and multiprocessing execution
-  through a persistent :class:`WorkerPool` (submit/drain, raced-variant
-  skipping) with optional STANDARD-vs-SEMI_NAIVE racing and budget
-  division;
+  through a persistent :class:`WorkerPool` (submit/drain, crash
+  containment) with budget division;
 * :mod:`repro.service.api` — the :class:`InferenceService` facade with
   ``submit()`` / ``run()`` / ``run_batch()``;
 * :mod:`repro.service.server` — a long-lived stdlib-asyncio HTTP
@@ -62,7 +61,6 @@ from repro.service.client import (
 from repro.service.scheduler import (
     PoolRun,
     QueryTask,
-    RACING_VARIANTS,
     WorkerPool,
     divide_budget,
     run_pool,
@@ -89,7 +87,6 @@ __all__ = [
     "QueryTask",
     "PoolRun",
     "WorkerPool",
-    "RACING_VARIANTS",
     "divide_budget",
     "run_serial",
     "serial_run",

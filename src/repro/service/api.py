@@ -4,7 +4,7 @@
 pipeline: canonical-hash every query, answer what the cache already
 knows, deduplicate the rest (structurally identical queries chase once),
 and dispatch the misses to the scheduler — serially or across a worker
-pool, optionally racing chase variants.
+pool.
 
 Usage::
 
@@ -33,7 +33,7 @@ from typing import Optional, Sequence
 
 from repro.chase.budget import Budget
 from repro.chase.checkpoint import resume_implies
-from repro.chase.engine import ChaseVariant, replay
+from repro.chase.engine import replay
 from repro.chase.implication import (
     InferenceOutcome,
     InferenceStatus,
@@ -57,7 +57,6 @@ from repro.obs.trace import RunTrace, Span, TraceBuffer, new_trace_id
 from repro.service.cache import ResultCache, budget_meet
 from repro.service.instruments import ServiceInstruments
 from repro.service.scheduler import (
-    RACING_VARIANTS,
     PoolRun,
     QueryTask,
     WorkerPool,
@@ -68,6 +67,13 @@ from repro.service.scheduler import (
 
 class ProofVerificationError(ReproError):
     """A chase-produced PROVED trace failed its replay verification."""
+
+
+#: The chase variants every cache entry records. The cache format
+#: predates the single chase and keeps a per-variant antichain of
+#: budgets; recording (and looking up) the one variant the service runs
+#: keeps existing cache files loading and hitting unchanged.
+CACHE_VARIANTS = ("standard",)
 
 
 @dataclass
@@ -90,12 +96,6 @@ class BatchStats:
     cache_hits: int = 0
     deduplicated: int = 0
     executed: int = 0
-    #: Raced-variant dispatches never run because their slot was already
-    #: decided by another variant when their turn came.
-    skipped: int = 0
-    #: Race arms that reused a shared frozen start (instance + intern
-    #: table + compiled goal plan) instead of rebuilding it per arm.
-    start_reuses: int = 0
     #: Stale-UNKNOWN retries answered by resuming a cached chase
     #: checkpoint instead of re-chasing from row zero.
     resumed: int = 0
@@ -104,7 +104,7 @@ class BatchStats:
     failed: int = 0
     wall_seconds: float = 0.0
     #: Wall seconds spent inside chase dispatches (summed per dispatch,
-    #: so racing and parallelism can push this above ``wall_seconds``).
+    #: so parallelism can push this above ``wall_seconds``).
     #: Distinct from ``wall_seconds``, which also covers hashing, cache
     #: traffic and scheduling.
     chase_seconds: float = 0.0
@@ -118,9 +118,7 @@ class BatchStats:
             extras += f", {self.failed} failed"
         return (
             f"{self.submitted} queries: {self.cache_hits} cache hit(s), "
-            f"{self.deduplicated} deduplicated, {self.executed} executed, "
-            f"{self.skipped} raced dispatch(es) skipped, "
-            f"{self.start_reuses} start rebuild(s) avoided"
+            f"{self.deduplicated} deduplicated, {self.executed} executed"
             f"{extras} "
             f"in {self.wall_seconds:.3f}s "
             f"({self.chase_seconds:.3f}s chasing)"
@@ -166,14 +164,11 @@ class InferenceService:
       persistent pool of ``n`` processes, forked on the first batch and
       reused by every later one (``close()`` — or using the service as a
       context manager — shuts it down).
-    * ``race_variants`` — dispatch each miss under both the STANDARD and
-      SEMI_NAIVE chase and keep the first decisive verdict.
     * ``record_trace`` — keep replayable proof traces (on by default; the
       cache stores them, so leave it on unless outcomes are throwaway).
     * ``share_budget`` — treat the budget handed to :meth:`run` as a
       *whole-batch* bound, divided evenly across every chase dispatched
-      (cache misses times raced variants; cache hits are free), instead
-      of the default per-query bound.
+      (cache hits are free), instead of the default per-query bound.
     * ``metrics`` — the :class:`~repro.obs.metrics.MetricsRegistry`
       every pipeline stage reports into; a private one is created when
       omitted. Pass a shared registry to aggregate several services
@@ -187,9 +182,7 @@ class InferenceService:
     * ``checkpoints`` — store suspended-chase checkpoints next to
       UNKNOWN cache entries and *resume* them when a retry arrives with
       a budget the entry does not cover, instead of re-chasing from row
-      zero (on by default; capture and resume are limited to
-      single-variant runs — a resumed chase only replays the variant it
-      suspended, so claiming it for a race would be unsound).
+      zero (on by default).
     * ``trace_capacity`` — how many recent run traces :attr:`traces`
       retains for ``GET /v1/trace/<id>``.
     * ``max_restarts`` — how many in-place worker-pool rebuilds one
@@ -204,8 +197,6 @@ class InferenceService:
         cache: Optional[ResultCache] = None,
         *,
         workers: int = 0,
-        variant: ChaseVariant = ChaseVariant.STANDARD,
-        race_variants: bool = False,
         record_trace: bool = True,
         share_budget: bool = False,
         metrics: Optional[MetricsRegistry] = None,
@@ -221,9 +212,6 @@ class InferenceService:
         self.cache = cache if cache is not None else ResultCache()
         self.workers = workers
         self.max_restarts = max_restarts
-        self.variants: tuple[ChaseVariant, ...] = (
-            RACING_VARIANTS if race_variants else (variant,)
-        )
         self.record_trace = record_trace
         self.share_budget = share_budget
         self.verify_proofs = verify_proofs
@@ -375,11 +363,6 @@ class InferenceService:
             )
         return True
 
-    @property
-    def _capture_checkpoints(self) -> bool:
-        """Capture/resume only for single-variant runs (see ctor doc)."""
-        return self.checkpoints and len(self.variants) == 1
-
     def _resume_from_checkpoint(
         self, fingerprint: str, budget: Budget
     ) -> Optional[tuple[InferenceOutcome, float]]:
@@ -392,7 +375,7 @@ class InferenceService:
         checkpoint's prior steps/rows/time against ``budget``, so its
         verdict matches an uninterrupted run under the same budget.
         """
-        if not self._capture_checkpoints:
+        if not self.checkpoints:
             return None
         payload = self.cache.checkpoint_for(fingerprint)
         if payload is None:
@@ -413,7 +396,7 @@ class InferenceService:
         instruments.checkpoint_resumes.inc()
         instruments.stage_seconds.labels(stage="chase").observe(seconds)
         instruments.chase_run_seconds.labels(
-            variant=self.variants[0].value, verdict=outcome.status.value
+            verdict=outcome.status.value
         ).observe(seconds)
         if outcome.chase_result is not None:
             chase_stats = outcome.chase_result.stats
@@ -456,7 +439,6 @@ class InferenceService:
         pending, self._pending = self._pending, []
         stats = BatchStats(submitted=len(pending))
         items: list[Optional[BatchItem]] = [None] * len(pending)
-        variant_values = tuple(variant.value for variant in self.variants)
         run_trace_id = new_trace_id()
         spans: list[Span] = []
         #: Per-query trace rows, indexed by submission order.
@@ -484,7 +466,7 @@ class InferenceService:
         # re-runs hit instead of eternally re-chasing their UNKNOWNs.
         watch = Stopwatch()
         lookup_budget = (
-            divide_budget(budget, len(pending) * len(self.variants))
+            divide_budget(budget, len(pending))
             if self.share_budget and pending
             else budget
         )
@@ -496,7 +478,7 @@ class InferenceService:
                 query.fingerprint,
                 lookup_budget,
                 require_trace=self.record_trace,
-                variants=variant_values,
+                variants=CACHE_VARIANTS,
             )
             lookup_stage.observe(time.perf_counter() - lookup_started)
             if entry is not None and derive_budgets:
@@ -570,7 +552,7 @@ class InferenceService:
                 # for a PROVED outcome that cannot replay.
                 traced=self.record_trace
                 and (not outcome.proved or bool(steps)),
-                variants=variant_values,
+                variants=CACHE_VARIANTS,
                 checkpoint=next_checkpoint,
             )
             if next_checkpoint is not None:
@@ -629,12 +611,11 @@ class InferenceService:
                 )
             )
         # With share_budget the batch budget is split across every chase
-        # actually dispatched — misses times variants, so racing cannot
-        # overspend the whole-batch bound. The divided budget is also what
-        # gets recorded (an UNKNOWN is only conclusive for the work its
-        # chase was given).
+        # actually dispatched. The divided budget is also what gets
+        # recorded (an UNKNOWN is only conclusive for the work its chase
+        # was given).
         per_query = (
-            divide_budget(budget, len(tasks) * len(self.variants))
+            divide_budget(budget, len(tasks))
             if self.share_budget and tasks
             else budget
         )
@@ -644,10 +625,9 @@ class InferenceService:
             run = serial_run(
                 tasks,
                 per_query,
-                self.variants,
                 self.record_trace,
                 metrics=self.metrics,
-                capture_checkpoints=self._capture_checkpoints,
+                capture_checkpoints=self.checkpoints,
             )
         else:
             # The pool persists across run() calls: batch N+1 reuses the
@@ -655,18 +635,13 @@ class InferenceService:
             run = self.pool().run(
                 tasks,
                 per_query,
-                self.variants,
                 self.record_trace,
-                capture_checkpoints=self._capture_checkpoints,
+                capture_checkpoints=self.checkpoints,
             )
         outcomes = run.outcomes
         stats.executed = len(tasks)
-        stats.skipped = run.skipped
-        stats.start_reuses = run.start_reuses
         stats.chase_seconds = run.chase_seconds
         instruments.executed.inc(len(tasks))
-        instruments.race_skipped.inc(run.skipped)
-        instruments.start_reuses.inc(run.start_reuses)
         if tasks:
             spans.append(
                 Span(
@@ -674,7 +649,6 @@ class InferenceService:
                     watch.split(),
                     {
                         "executed": len(tasks),
-                        "skipped": run.skipped,
                         "chase_seconds": round(run.chase_seconds, 6),
                         "workers": self.workers,
                     },
@@ -706,7 +680,7 @@ class InferenceService:
                     outcome,
                     per_query,
                     traced=self.record_trace,
-                    variants=variant_values,
+                    variants=CACHE_VARIANTS,
                     checkpoint=checkpoint_payload,
                 )
                 if checkpoint_payload is not None:

@@ -86,8 +86,8 @@ class ServiceInstruments:
         )
         self.chase_run_seconds = registry.histogram(
             "repro_chase_run_seconds",
-            "Wall seconds of one chase dispatch, by variant and verdict",
-            labels=("variant", "verdict"),
+            "Wall seconds of one chase dispatch, by verdict",
+            labels=("verdict",),
             buckets=LATENCY_BUCKETS,
         )
         self.chase_steps = registry.counter(
@@ -97,19 +97,6 @@ class ServiceInstruments:
         self.chase_rows = registry.counter(
             "repro_chase_rows_total",
             "Rows inserted by finished chases",
-        )
-        self.race_wins = registry.counter(
-            "repro_race_wins_total",
-            "Raced slots decided, by winning chase variant",
-            labels=("variant",),
-        )
-        self.race_skipped = registry.counter(
-            "repro_race_skipped_total",
-            "Raced dispatches skipped because their slot was already decided",
-        )
-        self.start_reuses = registry.counter(
-            "repro_start_reuses_total",
-            "Race arms that reused a shared frozen start",
         )
         self.pool_restarts = registry.counter(
             "repro_pool_restarts_total",

@@ -14,16 +14,6 @@ batches (the batch CLI looping over files, the HTTP server coalescing
 micro-batches) pay the fork cost once, not per batch. The one-shot
 :func:`run_pool` wrapper keeps the old construct-per-call API.
 
-**Variant racing**: because the inference problem is undecidable, no
-chase discipline dominates; with ``variants`` given more than one entry
-the scheduler dispatches each query once per variant and keeps the first
-*decisive* (PROVED/DISPROVED) verdict, falling back to an UNKNOWN only
-when every variant exhausted its budget. Dispatch is variant-major
-(every query's first variant before any second variant) and lazily
-submitted, so raced payloads for slots that are already decided are
-*skipped* rather than chased to budget exhaustion; skips are reported in
-:class:`PoolRun`.
-
 **Budget-aware division**: :func:`divide_budget` splits one global budget
 fairly across ``n`` queries, for callers that want a whole-batch bound
 rather than a per-query one.
@@ -50,9 +40,7 @@ from repro import faults
 from repro.chase.budget import Budget
 from repro.obs.metrics import MetricsRegistry
 from repro.service.instruments import ServiceInstruments
-from repro.chase.engine import ChaseVariant
 from repro.chase.implication import (
-    FrozenStart,
     InferenceOutcome,
     InferenceStatus,
     implies,
@@ -71,31 +59,6 @@ from repro.io.json_codec import (
     outcome_to_json,
     slim_unknown_outcome,
 )
-
-#: Default variant pair raced by ``race_variants`` mode.
-RACING_VARIANTS: tuple[ChaseVariant, ...] = (
-    ChaseVariant.STANDARD,
-    ChaseVariant.SEMI_NAIVE,
-)
-
-
-def _race_kernel(
-    variant: ChaseVariant, variants: Sequence[ChaseVariant]
-) -> Optional[str]:
-    """The chase kernel to pin for ``variant`` inside a race.
-
-    The compiled kernel folds STANDARD and SEMI_NAIVE onto one
-    delta-driven path, so racing both under the default kernel would
-    chase the byte-identical run twice for zero diversity. Inside a
-    race the SEMI_NAIVE arm is pinned to the legacy engine — a
-    genuinely different trigger order, which is the whole point of
-    racing an undecidable problem. Outside a race (one variant), None
-    keeps the process default (compiled).
-    """
-    if len(variants) > 1 and variant is ChaseVariant.SEMI_NAIVE:
-        return "legacy"
-    return None
-
 
 @dataclass(frozen=True)
 class QueryTask:
@@ -119,20 +82,13 @@ class QueryTask:
 class PoolRun:
     """What one scheduler dispatch produced.
 
-    ``outcomes`` maps each task's slot to its best verdict; ``skipped``
-    counts raced-variant dispatches that were never executed because
-    their slot was already decided when their turn came;
-    ``start_reuses`` counts race arms that reused a shared
-    :class:`~repro.chase.implication.FrozenStart` (frozen instance,
-    intern table, compiled goal plan) instead of rebuilding it.
+    ``outcomes`` maps each task's slot to its verdict.
     """
 
     outcomes: dict[int, InferenceOutcome] = field(default_factory=dict)
-    skipped: int = 0
-    start_reuses: int = 0
     #: Wall seconds of the chase dispatches actually executed (summed
-    #: per dispatch; racing and parallelism can make this exceed the
-    #: batch's own wall time). For pooled runs each dispatch is timed
+    #: per dispatch; parallelism can make this exceed the batch's own
+    #: wall time). For pooled runs each dispatch is timed
     #: parent-side, submit to completion, so the wire round-trip is
     #: included — the time a query really spent being chased for.
     chase_seconds: float = 0.0
@@ -146,7 +102,7 @@ class PoolRun:
     #: Undecided payloads re-dispatched after a worker crash.
     redispatched: int = 0
     #: Payloads quarantined after repeatedly crashing workers; their
-    #: slots (unless another variant answered) hold FAILED outcomes.
+    #: slots hold FAILED outcomes.
     quarantined: int = 0
 
 
@@ -165,42 +121,8 @@ def divide_budget(budget: Budget, ways: int) -> Budget:
     )
 
 
-def _decisive(outcome: InferenceOutcome) -> bool:
-    """PROVED or DISPROVED — a real verdict about ``D |= d``.
-
-    FAILED is *not* decisive: it reports an operational accident (a
-    quarantined payload), asserts nothing about the implication, and
-    must lose to any actual chase result.
-    """
-    return outcome.status in (
-        InferenceStatus.PROVED,
-        InferenceStatus.DISPROVED,
-    )
-
-
-def _prefer(
-    current: Optional[InferenceOutcome], candidate: InferenceOutcome
-) -> InferenceOutcome:
-    """Keep a decisive verdict over an UNKNOWN; first decisive wins.
-
-    FAILED ranks below everything: any chase that actually finished —
-    even UNKNOWN — beats an operational failure, and a failure never
-    displaces knowledge.
-    """
-    if current is None:
-        return candidate
-    if current.status is InferenceStatus.FAILED:
-        return candidate
-    if candidate.status is InferenceStatus.FAILED:
-        return current
-    if _decisive(current):
-        return current
-    return candidate
-
-
 def _observe_dispatch(
     instruments: Optional[ServiceInstruments],
-    variant_value: str,
     verdict_value: str,
     seconds: float,
     outcome: Optional[InferenceOutcome] = None,
@@ -215,9 +137,7 @@ def _observe_dispatch(
     if instruments is None:
         return
     instruments.stage_seconds.labels(stage="chase").observe(seconds)
-    instruments.chase_run_seconds.labels(
-        variant=variant_value, verdict=verdict_value
-    ).observe(seconds)
+    instruments.chase_run_seconds.labels(verdict=verdict_value).observe(seconds)
     if outcome is not None and outcome.chase_result is not None:
         stats = outcome.chase_result.stats
         if stats is not None:
@@ -228,64 +148,34 @@ def _observe_dispatch(
 def serial_run(
     tasks: Sequence[QueryTask],
     budget: Budget,
-    variants: Sequence[ChaseVariant],
     record_trace: bool = True,
     metrics: Optional[MetricsRegistry] = None,
     *,
     capture_checkpoints: bool = False,
 ) -> PoolRun:
-    """Run every task in-process, trying variants until one is decisive.
+    """Run every task in-process, one chase each.
 
-    Variants a task never needed (it was decided earlier in the race
-    order) count as skipped, mirroring the pool's accounting. Race arms
-    of one task chase the *same* frozen start: a shared
-    :class:`~repro.chase.implication.FrozenStart` freezes the target
-    once, and each arm copies it with the intern table and compiled
-    goal plan intact (``start_reuses`` counts the arms that skipped the
-    rebuild). With ``metrics`` given, each dispatch lands in the
-    registry's chase histograms exactly like a pooled one.
+    With ``metrics`` given, each dispatch lands in the registry's chase
+    histograms exactly like a pooled one.
     """
     instruments = ServiceInstruments(metrics) if metrics is not None else None
     run = PoolRun()
     for task in tasks:
-        best: Optional[InferenceOutcome] = None
-        start = FrozenStart(task.target)
-        for position, variant in enumerate(variants):
-            dispatched = time.perf_counter()
-            outcome = implies(
-                list(task.dependencies),
-                task.target,
-                budget=budget,
-                variant=variant,
-                record_trace=record_trace,
-                kernel=_race_kernel(variant, variants),
-                start=start,
-                checkpoint=capture_checkpoints,
-                analysis="derive" if task.derive else "auto",
-            )
-            elapsed = time.perf_counter() - dispatched
-            run.chase_seconds += elapsed
-            _observe_dispatch(
-                instruments,
-                variant.value,
-                outcome.status.value,
-                elapsed,
-                outcome,
-            )
-            best = _prefer(best, outcome)
-            if _decisive(best):
-                run.skipped += len(variants) - position - 1
-                if instruments is not None and len(variants) > 1:
-                    instruments.race_wins.labels(variant=variant.value).inc()
-                break
-        run.start_reuses += start.reuses
-        assert best is not None
-        run.outcomes[task.slot] = best
-        if (
-            capture_checkpoints
-            and best.status is InferenceStatus.UNKNOWN
-        ):
-            checkpoint_payload = encode_checkpoint(best)
+        dispatched = time.perf_counter()
+        outcome = implies(
+            list(task.dependencies),
+            task.target,
+            budget=budget,
+            record_trace=record_trace,
+            checkpoint=capture_checkpoints,
+            analysis="derive" if task.derive else "auto",
+        )
+        elapsed = time.perf_counter() - dispatched
+        run.chase_seconds += elapsed
+        _observe_dispatch(instruments, outcome.status.value, elapsed, outcome)
+        run.outcomes[task.slot] = outcome
+        if capture_checkpoints and outcome.status is InferenceStatus.UNKNOWN:
+            checkpoint_payload = encode_checkpoint(outcome)
             if checkpoint_payload is not None:
                 run.checkpoints[task.slot] = checkpoint_payload
     return run
@@ -294,47 +184,38 @@ def serial_run(
 def run_serial(
     tasks: Sequence[QueryTask],
     budget: Budget,
-    variants: Sequence[ChaseVariant],
     record_trace: bool = True,
 ) -> dict[int, InferenceOutcome]:
     """:func:`serial_run`, returning just the slot-to-outcome mapping."""
-    return serial_run(tasks, budget, variants, record_trace).outcomes
+    return serial_run(tasks, budget, record_trace).outcomes
 
 
-#: What crosses the process boundary: (slot, variant, pinned kernel or
-#: None, premises, target, budget, record_trace, capture_checkpoint,
-#: derive_budget) outbound and (slot, outcome JSON, start_reused,
-#: checkpoint JSON or None) back. Premises — and, since the
-#: frozen-start sharing, the target too — travel as pre-serialized
-#: JSON *strings*: encoded once per distinct value, pickled cheaply per
-#: payload, and — crucially — usable as worker-side memo keys so each
-#: worker decodes a batch's shared premise set (and freezes each raced
-#: target's start instance) once, not once per payload.
-_WirePayload = tuple[int, str, Optional[str], str, str, Json, bool, bool, bool]
+#: What crosses the process boundary: (slot, premises, target, budget,
+#: record_trace, capture_checkpoint, derive_budget) outbound and (slot,
+#: outcome JSON, checkpoint JSON or None) back. Premises travel as a
+#: pre-serialized JSON *string*: encoded once per distinct premise
+#: tuple, pickled cheaply per payload, and usable as a worker-side memo
+#: key so each worker decodes a batch's shared premise set once, not
+#: once per payload.
+_WirePayload = tuple[int, str, Json, Json, bool, bool, bool]
 
 
 def _encode_payloads(
     tasks: Sequence[QueryTask],
-    variants: Sequence[ChaseVariant],
     budget: Budget,
     record_trace: bool,
     capture_checkpoints: bool = False,
 ) -> list[_WirePayload]:
-    """Encode every (task, variant) wire payload, variant-major.
+    """Encode every task's wire payload.
 
     Batches typically share one premise tuple across every task, so the
     premise JSON is encoded once per distinct tuple rather than once per
-    payload (which would be O(premises x tasks x variants) before any
-    worker starts).
-
-    The variant-major order (every task's first variant before any
-    task's second) matters for racing: by the time a second-variant
-    payload comes up for submission its slot has often been decided by
-    the first variant, letting the pool skip it entirely.
+    payload (which would be O(premises x tasks) before any worker
+    starts).
     """
     budget_payload = budget_to_json(budget)
     premise_payloads: dict[tuple[Dependency, ...], str] = {}
-    encoded_tasks = []
+    payloads = []
     for task in tasks:
         premises = premise_payloads.get(task.dependencies)
         if premises is None:
@@ -346,31 +227,17 @@ def _encode_payloads(
                 separators=(",", ":"),
             )
             premise_payloads[task.dependencies] = premises
-        encoded_tasks.append(
+        payloads.append(
             (
                 task.slot,
                 premises,
-                json.dumps(dependency_to_json(task.target), separators=(",", ":")),
+                dependency_to_json(task.target),
+                budget_payload,
+                record_trace,
+                capture_checkpoints,
                 task.derive,
             )
         )
-    payloads = []
-    for variant in variants:
-        kernel = _race_kernel(variant, variants)
-        for slot, premises, target_payload, derive in encoded_tasks:
-            payloads.append(
-                (
-                    slot,
-                    variant.value,
-                    kernel,
-                    premises,
-                    target_payload,
-                    budget_payload,
-                    record_trace,
-                    capture_checkpoints,
-                    derive,
-                )
-            )
     return payloads
 
 
@@ -424,36 +291,15 @@ def _decode_premises(premises_wire: str) -> list[Dependency]:
     )
 
 
-#: Worker-side memo of frozen starts, keyed by the target's wire
-#: string. A raced query reaches a worker once per variant with an
-#: identical target payload; the memoized
-#: :class:`~repro.chase.implication.FrozenStart` lets the second arm
-#: reuse the first arm's frozen instance, intern table and compiled
-#: goal plan. Bounded like the premise memo.
-_START_MEMO: dict[str, FrozenStart] = {}
-_START_MEMO_MAX = 64
-
-
-def _frozen_start(target_wire: str) -> FrozenStart:
-    return memoized(
-        _START_MEMO,
-        target_wire,
-        lambda wire: FrozenStart(dependency_from_json(json.loads(wire))),
-        _START_MEMO_MAX,
-    )
-
-
 def _execute_payload(
     payload: _WirePayload,
-) -> tuple[int, Json, bool, Optional[Json]]:
+) -> tuple[int, Json, Optional[Json]]:
     """Worker entry point: decode, chase, encode. Must stay module-level
     (and exception-free) so every start method can dispatch to it."""
     (
         slot,
-        variant_value,
-        kernel,
         premises_wire,
-        target_wire,
+        target_payload,
         budget_payload,
         record,
         capture,
@@ -463,16 +309,11 @@ def _execute_payload(
         # Chaos hook: die the way a segfault or the OOM killer would —
         # no exception, no cleanup, just a vanished process.
         os._exit(1)
-    start = _frozen_start(target_wire)
-    reuses_before = start.reuses
     outcome = implies(
         _decode_premises(premises_wire),
-        start.target,
+        dependency_from_json(target_payload),
         budget=budget_from_json(budget_payload),
-        variant=ChaseVariant(variant_value),
         record_trace=record,
-        kernel=kernel,
-        start=start,
         checkpoint=capture,
         analysis="derive" if derive else "auto",
     )
@@ -483,7 +324,6 @@ def _execute_payload(
     return (
         slot,
         slim_unknown_outcome(outcome_to_json(outcome)),
-        start.reuses > reuses_before,
         encode_checkpoint(outcome) if capture else None,
     )
 
@@ -514,11 +354,8 @@ class WorkerPool:
     same structured way; :meth:`run` raises only for non-crash errors.
 
     Submission is throttled to the worker count: a payload is handed to
-    the pool only when a worker can take it, and each hand-off first
-    checks whether the payload's slot was decided by an earlier result.
-    Still-queued raced-variant payloads for decided slots are discarded
-    (counted in :attr:`PoolRun.skipped`) instead of chasing to budget
-    exhaustion.
+    the pool only when a worker can take it, so a crash voids at most
+    ``workers`` in-flight payloads.
     """
 
     #: In-flight crashes a single payload survives before quarantine.
@@ -593,21 +430,17 @@ class WorkerPool:
         self,
         tasks: Sequence[QueryTask],
         budget: Budget,
-        variants: Sequence[ChaseVariant],
         record_trace: bool = True,
         *,
         capture_checkpoints: bool = False,
     ) -> PoolRun:
-        """Fan tasks out over the workers; first decisive verdict wins.
+        """Fan tasks out over the workers, one chase each.
 
-        With several variants each query is dispatched once per variant
-        in variant-major order (results arrive unordered); raced
-        payloads whose slot is decided before they are submitted are
-        skipped, and late-arriving raced losers are discarded. A dead
-        worker is *contained*: collected verdicts survive, the pool is
-        rebuilt, undecided payloads are re-dispatched, and repeat
-        offenders come back as structured FAILED outcomes (see the
-        class docstring) — only non-crash errors raise.
+        Results arrive unordered. A dead worker is *contained*:
+        collected verdicts survive, the pool is rebuilt, undelivered
+        payloads are re-dispatched, and repeat offenders come back as
+        structured FAILED outcomes (see the class docstring) — only
+        non-crash errors raise.
         """
         run = PoolRun()
         if not tasks:
@@ -616,42 +449,34 @@ class WorkerPool:
         pool = self.start()._pool
         assert pool is not None
         pending = deque(
-            _encode_payloads(
-                tasks, variants, budget, record_trace, capture_checkpoints
-            )
+            _encode_payloads(tasks, budget, record_trace, capture_checkpoints)
         )
-        decided: set[int] = set()
         failure: Optional[BaseException] = None
         # future -> (payload, submit time): the payload rides along so a
         # crash can re-dispatch exactly what was lost; payloads queue
         # from the run's start, so submit-minus-start is the queue wait.
         in_flight: dict[Future, tuple[_WirePayload, float]] = {}
-        # (slot, variant) -> times that payload was in flight during a
-        # crash. Blame is collective (the killer is indistinguishable
-        # from its pool-mates), which is why quarantine needs
-        # CRASH_LIMIT strikes rather than one.
-        crash_blame: dict[tuple[int, str], int] = {}
+        # slot -> times its payload was in flight during a crash. Blame
+        # is collective (the killer is indistinguishable from its
+        # pool-mates), which is why quarantine needs CRASH_LIMIT strikes
+        # rather than one.
+        crash_blame: dict[int, int] = {}
         lost: list[_WirePayload] = []
         started = time.perf_counter()
 
         def fail_slot(payload: _WirePayload, reason: str) -> None:
-            """Quarantine one payload: its slot answers FAILED unless
-            some other variant produced a real outcome."""
-            slot = payload[0]
+            """Quarantine one payload: its slot answers FAILED."""
             run.quarantined += 1
             if instruments is not None:
                 instruments.fault_quarantined.inc()
-            current = run.outcomes.get(slot)
-            if current is not None:
-                return  # any real outcome (even UNKNOWN) beats FAILED
-            run.outcomes[slot] = InferenceOutcome(
+            run.outcomes[payload[0]] = InferenceOutcome(
                 status=InferenceStatus.FAILED,
-                target=dependency_from_json(json.loads(payload[4])),
+                target=dependency_from_json(payload[2]),
                 error=reason,
             )
 
         def contain_crash() -> bool:
-            """Absorb a BrokenProcessPool: keep decided verdicts,
+            """Absorb a BrokenProcessPool: keep collected verdicts,
             rebuild the pool, requeue or quarantine the undelivered
             payloads. False when the restart budget is spent (the batch
             finishes with FAILED leftovers instead of an exception)."""
@@ -667,27 +492,24 @@ class WorkerPool:
                 instruments.pool_restarts.inc()
             if run.pool_restarts >= self.max_restarts:
                 for payload in suspects + list(pending):
-                    if payload[0] not in decided:
-                        fail_slot(
-                            payload,
-                            "worker pool crashed and its restart budget "
-                            f"({self.max_restarts}) is exhausted",
-                        )
+                    fail_slot(
+                        payload,
+                        "worker pool crashed and its restart budget "
+                        f"({self.max_restarts}) is exhausted",
+                    )
                 pending.clear()
                 return False
             run.pool_restarts += 1
             if instruments is not None:
                 instruments.fault_pool_restarts.inc()
             for payload in suspects:
-                key = (payload[0], payload[1])
-                crash_blame[key] = crash_blame.get(key, 0) + 1
-                if payload[0] in decided:
-                    continue  # nothing left to redo for this slot
-                if crash_blame[key] >= self.CRASH_LIMIT:
+                slot = payload[0]
+                crash_blame[slot] = crash_blame.get(slot, 0) + 1
+                if crash_blame[slot] >= self.CRASH_LIMIT:
                     fail_slot(
                         payload,
                         "query quarantined: it was in flight for "
-                        f"{crash_blame[key]} worker-pool crashes",
+                        f"{crash_blame[slot]} worker-pool crashes",
                     )
                     continue
                 pending.appendleft(payload)
@@ -698,19 +520,13 @@ class WorkerPool:
             assert pool is not None
             return True
 
-        # In-flight is capped at exactly `workers` — a deliberate trade:
-        # a prefetch margin (workers*2) would hide the ~sub-ms dispatch
-        # round-trip, but every prefetched raced payload is one the
-        # decided-slot check can no longer skip, and skipping a chase
-        # (ms-to-budget-exhaustion) is worth far more than hiding the
-        # hand-off latency.
+        # In-flight is capped at exactly `workers`: a prefetch margin
+        # would hide the sub-ms dispatch round-trip, but every
+        # prefetched payload is one more a crash can void.
         def refill() -> None:
             nonlocal failure
             while pending and len(in_flight) < self.workers and failure is None:
                 payload = pending.popleft()
-                if payload[0] in decided:
-                    run.skipped += 1
-                    continue
                 try:
                     future = pool.submit(_execute_payload, payload)
                 except BaseException as error:  # broken/closing pool
@@ -739,77 +555,26 @@ class WorkerPool:
             for future in done:
                 payload, submitted = in_flight.pop(future)
                 try:
-                    arrivals.append(
-                        future.result() + (payload[1], drained - submitted)
-                    )
+                    arrivals.append(future.result() + (drained - submitted,))
                 except BaseException as error:
                     # The payload's result is gone; remember it so a
                     # crash can re-dispatch rather than drop it.
                     lost.append(payload)
                     failure = failure if failure is not None else error
-            # Peek decisiveness from the raw statuses and hand the
-            # freed workers their next payloads *before* the (possibly
-            # heavy) outcome decodes, so workers never idle behind them.
-            for slot, outcome_payload, __, __cp, variant_value, __s in arrivals:
-                if (
-                    isinstance(outcome_payload, dict)
-                    and outcome_payload.get("status")
-                    != InferenceStatus.UNKNOWN.value
-                ):
-                    if (
-                        instruments is not None
-                        and len(variants) > 1
-                        and slot not in decided
-                    ):
-                        instruments.race_wins.labels(
-                            variant=variant_value
-                        ).inc()
-                    decided.add(slot)
+            # Hand the freed workers their next payloads *before* the
+            # (possibly heavy) outcome decodes, so workers never idle
+            # behind them.
             if failure is None:
                 refill()
-            for (
-                slot,
-                outcome_payload,
-                start_reused,
-                checkpoint_payload,
-                variant_value,
-                seconds,
-            ) in arrivals:
-                if start_reused:
-                    run.start_reuses += 1
+            for slot, outcome_payload, checkpoint_payload, seconds in arrivals:
                 run.chase_seconds += seconds
-                current = run.outcomes.get(slot)
-                if current is not None and _decisive(current):
-                    # Raced loser that was already in flight: timed, but
-                    # its verdict is discarded.
-                    _observe_dispatch(
-                        instruments,
-                        variant_value,
-                        (
-                            outcome_payload.get("status", "unknown")
-                            if isinstance(outcome_payload, dict)
-                            else "unknown"
-                        ),
-                        seconds,
-                    )
-                    continue
-                outcome = _prefer(current, outcome_from_json(outcome_payload))
+                outcome = outcome_from_json(outcome_payload)
                 _observe_dispatch(
-                    instruments,
-                    variant_value,
-                    outcome.status.value,
-                    seconds,
-                    outcome,
+                    instruments, outcome.status.value, seconds, outcome
                 )
                 run.outcomes[slot] = outcome
-                if _decisive(outcome):
-                    run.checkpoints.pop(slot, None)
-                elif checkpoint_payload is not None:
-                    held = run.checkpoints.get(slot)
-                    if held is None or int(
-                        checkpoint_payload.get("steps", 0)
-                    ) > int(held.get("steps", 0)):
-                        run.checkpoints[slot] = checkpoint_payload
+                if checkpoint_payload is not None:
+                    run.checkpoints[slot] = checkpoint_payload
         if failure is not None:
             # Only non-crash errors reach here (crashes are contained).
             raise failure
@@ -820,7 +585,6 @@ def run_pool(
     tasks: Sequence[QueryTask],
     budget: Budget,
     workers: int,
-    variants: Sequence[ChaseVariant],
     record_trace: bool = True,
 ) -> dict[int, InferenceOutcome]:
     """One-shot :class:`WorkerPool` dispatch (constructs and tears down).
@@ -834,7 +598,7 @@ def run_pool(
     if not tasks:
         return {}
     with WorkerPool(workers) as pool:
-        return pool.run(tasks, budget, variants, record_trace).outcomes
+        return pool.run(tasks, budget, record_trace).outcomes
 
 
 def run_tasks(
@@ -842,10 +606,9 @@ def run_tasks(
     budget: Budget,
     *,
     workers: int = 0,
-    variants: Sequence[ChaseVariant] = (ChaseVariant.STANDARD,),
     record_trace: bool = True,
 ) -> dict[int, InferenceOutcome]:
     """Dispatch tasks serially (``workers == 0``) or through the pool."""
     if workers == 0:
-        return run_serial(tasks, budget, variants, record_trace)
-    return run_pool(tasks, budget, workers, variants, record_trace)
+        return run_serial(tasks, budget, record_trace)
+    return run_pool(tasks, budget, workers, record_trace)

@@ -117,7 +117,6 @@ class ServerStats:
     cache_hits: int = 0
     deduplicated: int = 0
     executed: int = 0
-    skipped: int = 0
     #: Wall seconds of whole InferenceService runs (hashing, cache
     #: traffic and scheduling included).
     batch_seconds: float = 0.0
@@ -488,7 +487,6 @@ class InferenceServer:
             self.stats.cache_hits += report.stats.cache_hits
             self.stats.deduplicated += report.stats.deduplicated
             self.stats.executed += report.stats.executed
-            self.stats.skipped += report.stats.skipped
             self.stats.batch_seconds += report.stats.wall_seconds
             self.stats.chase_seconds += report.stats.chase_seconds
             for member, item in zip(live, report.items):

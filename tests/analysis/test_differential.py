@@ -2,7 +2,8 @@
 
 For randomly generated weakly-acyclic dependency sets the analyzer must
 (1) certify them, (2) let :func:`implies` run them to fixpoint with no
-client budget under both kernels without ever returning UNKNOWN, (3)
+client budget — on the production chase and on the reference chase of
+``tests/oracle`` — without ever returning UNKNOWN, (3)
 never be caught out by the actual chase exceeding the certified bound,
 and (4) preserve verdicts under goal-directed pruning.  Known
 non-terminating sets must never be certified.
@@ -14,7 +15,7 @@ import pytest
 
 from repro.analysis import analyze, prune_for_target
 from repro.chase.budget import Budget
-from repro.chase.implication import FrozenStart, InferenceStatus, implies
+from repro.chase.implication import InferenceStatus, _freeze_target, implies
 from repro.dependencies.parser import parse_td
 from repro.workloads.generators import (
     disguise,
@@ -22,8 +23,11 @@ from repro.workloads.generators import (
     weakly_acyclic_dependencies,
 )
 
+from tests.oracle import chase as oracle
+
 SEEDS = (0, 1, 2, 3, 4)
-KERNELS = ("compiled", "legacy")
+#: ``implies`` on the production chase and on the reference chase.
+KERNELS = {"compiled": implies, "legacy": oracle.implies}
 
 
 def _generated(seed: int, include_eids: bool):
@@ -45,11 +49,10 @@ class TestCertifiedSetsChaseToFixpoint:
     def test_unbudgeted_implication_is_decisive(self, seed, kernel):
         dependencies = _generated(seed, include_eids=True)
         target = _generated(seed + 100, include_eids=False)[0]
-        outcome = implies(dependencies, target, kernel=kernel)
+        outcome = KERNELS[kernel](dependencies, target)
         assert outcome.status is not InferenceStatus.UNKNOWN
-        reference = implies(
-            dependencies, target, budget=Budget.unlimited(),
-            kernel=kernel, analysis="off",
+        reference = KERNELS[kernel](
+            dependencies, target, budget=Budget.unlimited(), analysis="off",
         )
         assert outcome.status is reference.status
         provenance = outcome.analysis
@@ -61,10 +64,8 @@ class TestCertifiedSetsChaseToFixpoint:
         target = _generated(seed + 100, include_eids=False)[0]
         certificate = analyze(tuple(dependencies)).certificate
         assert certificate is not None
-        start = FrozenStart(target)
-        bound = certificate.bounds(
-            len(start.instance.active_domain()), len(start.instance)
-        )
+        start, __ = _freeze_target(target)
+        bound = certificate.bounds(len(start.active_domain()), len(start))
         assert bound is not None
         outcome = implies(dependencies, target)
         assert outcome.chase_result is not None
@@ -92,10 +93,10 @@ class TestStratifiedSets:
         symmetry = parse_td("R(x,y) -> R(y,x)")
         trivial = parse_td("R(x,y) & R(y,z) -> R(x,w)")
         target = parse_td("R(x,y) -> R(y,x)")
-        outcome = implies([symmetry, trivial], target, kernel=kernel)
+        outcome = KERNELS[kernel]([symmetry, trivial], target)
         assert outcome.status is InferenceStatus.PROVED
-        disproved = implies(
-            [symmetry, trivial], transitivity_family(3)[-1], kernel=kernel
+        disproved = KERNELS[kernel](
+            [symmetry, trivial], transitivity_family(3)[-1]
         )
         assert disproved.status is InferenceStatus.DISPROVED
 

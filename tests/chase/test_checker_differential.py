@@ -1,7 +1,8 @@
 """Randomized differential tests: compiled model checker vs legacy search.
 
 The compiled checker (:mod:`repro.chase.checkplan`) must be semantically
-indistinguishable from the generic homomorphism search it replaces:
+indistinguishable from the generic homomorphism search kept in
+:mod:`tests.oracle.modelcheck` (the "legacy" side below):
 identical ``holds_in`` verdicts on every instance, and violation
 witnesses that are *equivalent* — a witness is a complete assignment of
 the universal variables mapping every antecedent into the instance with
@@ -12,17 +13,19 @@ comparisons here are semantic: verdict equality, witness validity, and
 the ``all_violations == [] iff satisfies_all`` contract.
 """
 
+from types import SimpleNamespace
+
 import pytest
 
+from repro.chase import modelcheck
 from repro.chase.budget import Budget
-from repro.chase.checkplan import ModelChecker, find_violation_legacy
+from repro.chase.checkplan import ModelChecker
 from repro.chase.engine import chase
 from repro.chase.finite_models import search_exhaustive, search_random
 from repro.chase.implication import implies
-from repro.chase.modelcheck import all_violations, satisfies_all
 from repro.dependencies.parser import parse_td
 from repro.dependencies.template import is_variable
-from repro.relational.homomorphism import extend_homomorphism, is_homomorphism
+from repro.relational.homomorphism import is_homomorphism
 from repro.relational.schema import Schema
 from repro.workloads.generators import (
     inference_workload,
@@ -32,12 +35,45 @@ from repro.workloads.generators import (
     weakly_acyclic_dependencies,
 )
 
+from tests.oracle import modelcheck as oracle
+from tests.oracle.homomorphism import extend_homomorphism
+
 #: Every test runs under both join backends (the native leg skips
 #: visibly when the extension is not built): the same seeds that hold
 #: compiled ≡ legacy also hold native ≡ python.
 pytestmark = pytest.mark.usefixtures("join_backend")
 
-CHECKERS = ("legacy", "compiled")
+#: One namespace per checker: the reference search in tests/oracle and
+#: the production checker, under the same names.
+CHECKER_OPS = {
+    "legacy": SimpleNamespace(
+        ModelChecker=oracle.ModelChecker,
+        find_violation=oracle.find_violation,
+        satisfies_all=oracle.satisfies_all,
+        all_violations=oracle.all_violations,
+    ),
+    "compiled": SimpleNamespace(
+        ModelChecker=ModelChecker,
+        find_violation=lambda dependency, instance: dependency.find_violation(
+            instance
+        ),
+        satisfies_all=modelcheck.satisfies_all,
+        all_violations=modelcheck.all_violations,
+    ),
+}
+CHECKERS = tuple(CHECKER_OPS)
+
+
+def satisfies_all(instance, dependencies, *, checker):
+    return CHECKER_OPS[checker].satisfies_all(instance, dependencies)
+
+
+def all_violations(instance, dependencies, *, checker):
+    return CHECKER_OPS[checker].all_violations(instance, dependencies)
+
+
+def find_violation(dependency, instance, *, checker):
+    return CHECKER_OPS[checker].find_violation(dependency, instance)
 
 
 def _assert_witness_valid(dependency, instance, witness):
@@ -55,8 +91,8 @@ def _assert_witness_valid(dependency, instance, witness):
 
 
 def _assert_checkers_agree(dependency, instance):
-    legacy = dependency.find_violation(instance, checker="legacy")
-    compiled = dependency.find_violation(instance, checker="compiled")
+    legacy = find_violation(dependency, instance, checker="legacy")
+    compiled = find_violation(dependency, instance, checker="compiled")
     assert (legacy is None) == (compiled is None), dependency
     if compiled is not None:
         _assert_witness_valid(dependency, instance, compiled)
@@ -111,7 +147,7 @@ class TestVerdictAgreement:
                 assert satisfies_all(
                     counterexample, dependencies, checker=checker
                 )
-                witness = target.find_violation(counterexample, checker=checker)
+                witness = find_violation(target, counterexample, checker=checker)
                 assert witness is not None
                 _assert_witness_valid(target, counterexample, witness)
         assert disproved > 0  # the mix must actually exercise DISPROVED
@@ -162,13 +198,11 @@ class TestModelCheckerState:
         instance = Instance(
             schema, [(nodes[i], nodes[(i + 1) % 4]) for i in range(4)]
         )
-        model = ModelChecker(instance, checker="compiled")
+        model = ModelChecker(instance)
         repairs = 0
         while repairs < 50:
             witness = model.find_violation(transitivity)
-            fresh_reference = transitivity.find_violation(
-                instance, checker="legacy"
-            )
+            fresh_reference = oracle.find_violation(transitivity, instance)
             assert (witness is None) == (fresh_reference is None)
             if witness is None:
                 break
@@ -179,19 +213,19 @@ class TestModelCheckerState:
             assert image in instance  # add went through to the instance
             repairs += 1
         assert model.holds_in(transitivity)
-        assert transitivity.holds_in(instance, checker="legacy")
+        assert oracle.holds_in(transitivity, instance)
 
     def test_out_of_band_adds_detected_by_rebuild(self):
         schema = Schema(["FROM", "TO"])
         symmetry = parse_td("R(x, y) -> R(y, x)", schema)
         instance = random_instance(seed=9, rows=4, arity=2, schema=schema)
-        model = ModelChecker(instance, checker="compiled")
+        model = ModelChecker(instance)
         witness = model.find_violation(symmetry)
         assert witness is not None
         # Mutate behind the checker's back: repair every violation via the
         # raw instance, then re-query — the row-count check must rebuild.
         while True:
-            raw = symmetry.find_violation(instance, checker="legacy")
+            raw = oracle.find_violation(symmetry, instance)
             if raw is None:
                 break
             instance.add(tuple(raw[variable] for variable in symmetry.conclusion))
@@ -210,7 +244,7 @@ class TestModelCheckerState:
         bad_row = (Const("a"), Const("b"), Const("c"))
         for checker in CHECKERS:
             instance = Instance(schema, [(Const("a"), Const("b"))])
-            model = ModelChecker(instance, checker=checker)
+            model = CHECKER_OPS[checker].ModelChecker(instance)
             model.holds_in(dependency)  # compiled: builds the synced state
             with pytest.raises(ArityError):
                 model.add(bad_row)
@@ -219,11 +253,11 @@ class TestModelCheckerState:
     def test_legacy_mode_never_builds_kernel_state(self):
         instance = random_instance(seed=1, rows=5)
         dependency = random_td(seed=1)
-        model = ModelChecker(instance, checker="legacy")
+        model = oracle.ModelChecker(instance)
         model.find_violation(dependency)
         assert instance._view is None  # no interned view was ever built
         # And the result matches the module-level legacy entry point.
-        assert model.find_violation(dependency) == find_violation_legacy(
+        assert model.find_violation(dependency) == oracle.find_violation(
             dependency, instance
         )
 
@@ -235,12 +269,12 @@ class TestFiniteSearchDifferential:
         schema = Schema(["FROM", "TO"])
         successor = parse_td("R(x, y) -> R(y, s)", schema)
         predecessor = parse_td("R(x, y) -> R(p, x)", schema)
-        results = {
-            checker: search_exhaustive(
-                [successor], predecessor, domain_size=3, checker=checker
-            )
-            for checker in CHECKERS
-        }
+        results = {}
+        for checker in CHECKERS:
+            with oracle.finite_searches(checker == "legacy"):
+                results[checker] = search_exhaustive(
+                    [successor], predecessor, domain_size=3
+                )
         # Deterministic smallest-first enumeration + verdict agreement
         # means the two checkers return the *same* minimum witness.
         assert results["legacy"] is not None
@@ -254,13 +288,12 @@ class TestFiniteSearchDifferential:
         schema = Schema(["FROM", "TO"])
         successor = parse_td("R(x, y) -> R(y, s)", schema)
         predecessor = parse_td("R(x, y) -> R(p, x)", schema)
-        witness = search_random(
-            [successor], predecessor, seed=0, checker=checker
-        )
+        with oracle.finite_searches(checker == "legacy"):
+            witness = search_random([successor], predecessor, seed=0)
         assert witness is not None
         for verifier in CHECKERS:
             assert satisfies_all(witness, [successor], checker=verifier)
             assert (
-                predecessor.find_violation(witness, checker=verifier)
+                find_violation(predecessor, witness, checker=verifier)
                 is not None
             )

@@ -4,6 +4,7 @@ import pytest
 
 from repro.chase.budget import Budget
 from repro.chase.implication import (
+    ConclusionGoal,
     InferenceStatus,
     conclusion_satisfied,
     implies,
@@ -12,6 +13,7 @@ from repro.chase.implication import (
 from repro.chase.modelcheck import satisfies_all
 from repro.dependencies.parser import parse_td
 from repro.relational.schema import Schema
+from repro.relational.values import LabeledNull
 
 
 @pytest.fixture
@@ -52,6 +54,36 @@ class TestProved:
         successor = parse_td("R(x, y) -> R(y, z)", schema)
         weaker = parse_td("R(x, y) & R(y, w) -> R(w, v)", schema)
         assert implies([successor], weaker).status is InferenceStatus.PROVED
+
+
+class TestConclusionGoal:
+    @pytest.mark.parametrize(
+        "text, extra, expected",
+        [
+            ("R(x, y) & R(y, z) -> R(x, z)", [], False),
+            ("R(x, y) & R(y, z) -> R(x, z)", [("x", "z")], True),
+            ("R(x, y) & R(y, z) -> R(x, z)", [("z", "x")], False),
+            ("R(x, y) -> R(y, w)", [], False),
+            ("R(x, y) -> R(y, w)", [("y", None)], True),
+            ("R(x, y) -> R(y, w)", [("x", None)], False),
+        ],
+    )
+    def test_call_agrees_with_conclusion_satisfied(
+        self, schema, text, extra, expected
+    ):
+        """Calling the goal object is the one-shot compiled check, on
+        hits and misses alike (the kernel compiles the same check into
+        its own probe)."""
+        target = parse_td(text, schema)
+        instance, frozen = target.freeze()
+        by_name = {variable.name: value for variable, value in frozen.items()}
+        for left, right in extra:
+            instance.add(
+                (by_name[left], by_name[right] if right else LabeledNull(7))
+            )
+        goal = ConclusionGoal(target, frozen)
+        assert conclusion_satisfied(instance, target, frozen) is expected
+        assert goal(instance) is expected
 
 
 class TestDisproved:

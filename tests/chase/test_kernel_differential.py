@@ -1,14 +1,16 @@
 """Randomized differential tests: compiled kernel vs legacy engine.
 
 The compiled kernel (:mod:`repro.chase.plan`) must be *semantically
-indistinguishable* from the generic engine: identical
+indistinguishable* from the generic engine kept in
+:mod:`tests.oracle.chase` (the "legacy" side, run under both its
+STANDARD and SEMI_NAIVE disciplines): identical
 :class:`ChaseStatus` outcomes, identical implication verdicts,
 ``replay()``-valid traces, and final instances that agree up to null
 renaming. Step *order* may differ (it already differs between hash-seed
 runs of the legacy engine), so the comparisons here are semantic:
 
 * full dependency sets have a unique fixpoint — final row sets must be
-  literally equal across every kernel x variant combination;
+  literally equal across every run;
 * weakly acyclic embedded sets terminate under every order, and all
   terminating chase results of one input have isomorphic *cores* — the
   canonical "equal up to null renaming" witness;
@@ -21,7 +23,7 @@ runs of the legacy engine), so the comparisons here are semantic:
 import pytest
 
 from repro.chase.budget import Budget
-from repro.chase.engine import ChaseVariant, chase, replay
+from repro.chase.engine import chase, replay
 from repro.chase.implication import conclusion_satisfied, implies
 from repro.chase.result import ChaseStatus
 from repro.relational.core import core_of, homomorphically_equivalent
@@ -32,24 +34,29 @@ from repro.workloads.generators import (
     weakly_acyclic_dependencies,
 )
 
+from tests.oracle import chase as oracle
+from tests.oracle.chase import ChaseVariant
+
 #: Every test runs under both join backends (the native leg skips
 #: visibly when the extension is not built): the same seeds that hold
 #: compiled ≡ legacy also hold native ≡ python.
 pytestmark = pytest.mark.usefixtures("join_backend")
 
-KERNELS = ("legacy", "compiled")
+#: The reference disciplines the production chase is compared with.
 VARIANTS = (ChaseVariant.STANDARD, ChaseVariant.SEMI_NAIVE)
 
 
 def _all_runs(instance, dependencies, **kwargs):
-    """Chase under every kernel x variant; returns {(kernel, variant): result}."""
-    return {
-        (kernel, variant): chase(
-            instance, dependencies, kernel=kernel, variant=variant, **kwargs
+    """Chase under the production kernel and every reference discipline.
+
+    Returns ``{("compiled", None): result, ("legacy", variant): result}``.
+    """
+    runs = {("compiled", None): chase(instance, dependencies, **kwargs)}
+    for variant in VARIANTS:
+        runs[("legacy", variant)] = oracle.chase(
+            instance, dependencies, variant=variant, **kwargs
         )
-        for kernel in KERNELS
-        for variant in VARIANTS
-    }
+    return runs
 
 
 def _assert_replay_valid(start, result):
@@ -157,16 +164,12 @@ class TestImplicationDifferential:
         budget = Budget(max_steps=2_000)
         for target in targets:
             outcomes = {
-                (kernel, variant): implies(
-                    dependencies,
-                    target,
-                    budget=budget,
-                    variant=variant,
-                    kernel=kernel,
-                )
-                for kernel in KERNELS
-                for variant in VARIANTS
+                ("compiled", None): implies(dependencies, target, budget=budget)
             }
+            for variant in VARIANTS:
+                outcomes[("legacy", variant)] = oracle.implies(
+                    dependencies, target, budget=budget, variant=variant
+                )
             reference = outcomes[("legacy", ChaseVariant.STANDARD)]
             for key, outcome in outcomes.items():
                 assert outcome.status is reference.status, (key, target)

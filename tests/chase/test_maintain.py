@@ -11,9 +11,8 @@ equivalence, so the comparisons here are the semantic invariants:
 * certain conjunctive-query answers agree exactly;
 * implication verdicts (checked on the core) agree exactly.
 
-The reference chase runs under both kernels (``kernel=`` parametrized
-explicitly, so the suite is green under either ``REPRO_CHASE_KERNEL``
-process default as well).
+The from-scratch chase runs on both the production kernel and the
+reference chase of ``tests/oracle`` (the ``kernel`` parameter).
 """
 
 import random
@@ -42,7 +41,11 @@ from repro.workloads.generators import (
     weakly_acyclic_dependencies,
 )
 
-KERNELS = ("compiled", "legacy")
+from tests.oracle import chase as oracle
+from tests.oracle.modelcheck import find_violation as oracle_find_violation
+
+#: The from-scratch chase: production kernel and reference chase.
+KERNELS = {"compiled": chase, "legacy": oracle.chase}
 
 
 def _queries_from(dependencies):
@@ -70,9 +73,7 @@ def _certain_answers(query, instance):
 
 def _assert_equivalent(model, dependencies, kernel):
     """The maintained model vs a from-scratch chase of its base facts."""
-    fresh = chase(
-        Instance(model.schema, model.base), dependencies, kernel=kernel
-    )
+    fresh = KERNELS[kernel](Instance(model.schema, model.base), dependencies)
     assert fresh.status is ChaseStatus.TERMINATED
     assert homomorphically_equivalent(model.instance, fresh.instance)
     model_core = model.core()
@@ -265,7 +266,7 @@ class TestCheckerEpochRegression:
         symmetry = parse_td("R(x, y) -> R(y, x)", schema)
         a, b, c = Const("a"), Const("b"), Const("c")
         instance = Instance(schema, [(a, b), (b, a)])
-        model = ModelChecker(instance, checker="compiled")
+        model = ModelChecker(instance)
         assert model.holds_in(symmetry)
         # Same row count, different rows: the old count heuristic saw
         # "no mutation" here and kept serving the satisfied verdict.
@@ -278,7 +279,7 @@ class TestCheckerEpochRegression:
         image = tuple(witness[variable] for variable in symmetry.conclusion)
         assert tuple(witness[v] for v in symmetry.antecedents[0]) in instance
         assert image not in instance
-        assert symmetry.find_violation(instance, checker="legacy") is not None
+        assert oracle_find_violation(symmetry, instance) is not None
         # Epochs moved once per mutation; a third add syncs too.
         assert instance.epoch >= 4
         instance.add((c, b))

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.chase.budget import Budget
-from repro.chase.engine import ChaseVariant, chase, replay
+from repro.chase.engine import chase, replay
 from repro.chase.implication import InferenceStatus, implies
 from repro.chase.result import ChaseStatus
 from repro.core.inference import Semantics, infer
@@ -25,6 +25,9 @@ from repro.workloads.instances import (
     negative_family,
     positive_chain_family,
 )
+
+from tests.oracle import chase as oracle
+from tests.oracle.chase import ChaseVariant
 
 
 class TestReductionPipeline:
@@ -88,13 +91,16 @@ class TestProofTransfer:
 
 
 class TestChaseVariantsAgree:
+    """The production (restricted) chase against the reference oblivious
+    chase of tests/oracle."""
+
     def test_standard_and_oblivious_homomorphically_equivalent(self):
         schema_td = parse_td("R(x, y) & R(y, z) -> R(x, z)")
         start, __ = parse_td(
             "R(a, b) & R(b, c) & R(c, d) -> R(a, d)"
         ).freeze()
         standard = chase(start, [schema_td])
-        oblivious = chase(
+        oblivious = oracle.chase(
             start, [schema_td], variant=ChaseVariant.OBLIVIOUS,
             budget=Budget(max_steps=500),
         )
@@ -106,7 +112,7 @@ class TestChaseVariantsAgree:
         td = parse_td("R(x, y) & R(y, z) -> R(x, z)")
         start, __ = parse_td("R(a, b) & R(b, c) -> R(a, c)").freeze()
         standard = chase(start, [td]).instance
-        oblivious = chase(
+        oblivious = oracle.chase(
             start, [td], variant=ChaseVariant.OBLIVIOUS,
             budget=Budget(max_steps=500),
         ).instance

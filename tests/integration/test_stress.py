@@ -3,7 +3,7 @@
 import pytest
 
 from repro.chase.budget import Budget
-from repro.chase.engine import ChaseVariant, chase
+from repro.chase.engine import chase
 from repro.chase.implication import InferenceStatus, implies
 from repro.chase.result import ChaseStatus
 from repro.dependencies.classify import summarize
@@ -16,6 +16,9 @@ from repro.relational.values import Const
 from repro.semigroups.rewriting import word_problem
 from repro.workloads.generators import transitivity_family
 from repro.workloads.instances import negative_family, positive_chain_family
+
+from tests.oracle import chase as oracle
+from tests.oracle.chase import ChaseVariant
 
 
 class TestLargePositiveChain:
@@ -70,7 +73,7 @@ class TestChaseAtScale:
         standard = chase(
             path, [transitivity], budget=Budget.unlimited(), record_trace=False
         )
-        semi = chase(
+        semi = oracle.chase(
             path,
             [transitivity],
             variant=ChaseVariant.SEMI_NAIVE,

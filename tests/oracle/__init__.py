@@ -1,0 +1,22 @@
+"""Reference engines for the differential suites (test-only).
+
+``src/`` runs every homomorphism-shaped problem — the chase, model
+checking, homomorphism/CQ search and core computation — on the compiled
+join kernel (:mod:`repro.kernel.joins`). This package keeps the
+original generic engines as the reference semantics those paths are
+held to:
+
+* :mod:`tests.oracle.homomorphism` — the backtracking homomorphism
+  search (most-constrained-first over ``Instance.matching_rows``), and
+  the retraction, core and conjunctive-query operations built on it;
+* :mod:`tests.oracle.trigger` — triggers as explicit objects, their
+  activity test and :func:`~tests.oracle.trigger.fire_trigger`;
+* :mod:`tests.oracle.chase` — the round-based chase with its STANDARD,
+  SEMI_NAIVE and OBLIVIOUS disciplines, and ``implies`` on top of it;
+* :mod:`tests.oracle.modelcheck` — model checking by search.
+
+Nothing here touches the kernel: no interned view, no join plan. Tests
+and benchmarks import from the submodules (``from tests.oracle.chase
+import chase``); no module under ``src/repro`` may import from here
+(``scripts/lint_invariants.py`` enforces that).
+"""

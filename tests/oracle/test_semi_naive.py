@@ -1,17 +1,22 @@
-"""Tests for the semi-naive chase variant and delta trigger enumeration."""
+"""Tests for the reference chase's semi-naive variant and delta trigger
+enumeration (tests.oracle.chase, tests.oracle.trigger).
+
+``chase`` here is the reference chase; ``STANDARD`` is its restricted
+discipline."""
 
 import pytest
 
 from repro.chase.budget import Budget
-from repro.chase.engine import ChaseVariant, chase
 from repro.chase.result import ChaseStatus
-from repro.chase.trigger import iter_triggers, iter_triggers_touching
 from repro.dependencies.parser import parse_td
 from repro.relational.core import homomorphically_equivalent
 from repro.relational.instance import Instance
 from repro.relational.schema import Schema
 from repro.relational.values import Const
 from repro.workloads.generators import random_full_td, random_instance, transitivity_family
+
+from tests.oracle.chase import ChaseVariant, chase
+from tests.oracle.trigger import iter_triggers, iter_triggers_touching
 
 
 @pytest.fixture

@@ -1,13 +1,14 @@
-"""Unit tests for repro.chase.trigger."""
+"""Unit tests for the reference chase's triggers (tests.oracle.trigger)."""
 
 import pytest
 
-from repro.chase.trigger import Trigger, iter_active_triggers, iter_triggers
 from repro.dependencies.parser import parse_td
 from repro.dependencies.template import Variable
 from repro.relational.instance import Instance
 from repro.relational.schema import Schema
 from repro.relational.values import Const
+
+from tests.oracle.trigger import Trigger, iter_active_triggers, iter_triggers
 
 
 @pytest.fixture

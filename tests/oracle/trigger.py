@@ -1,10 +1,15 @@
-"""Triggers: matches of a dependency's antecedents in an instance.
+"""Triggers: matches of a dependency's antecedents in an instance (reference).
 
 A *trigger* for dependency ``d`` in instance ``I`` is a homomorphism ``h``
 of ``d``'s antecedents into ``I``. The trigger is *active* when ``h`` has
 no extension mapping the conclusion atoms into ``I`` — i.e. the dependency
 is violated at ``h``. The restricted (standard) chase fires only active
 triggers; the oblivious chase fires every trigger once.
+
+The compiled chase (:mod:`repro.chase.plan`) never builds trigger
+objects: it enumerates matches as integer registers and fires them in
+place. These are the explicit objects the reference chase in
+:mod:`tests.oracle.chase` works with.
 """
 
 from __future__ import annotations
@@ -12,15 +17,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Mapping
 
+from repro.chase.result import ChaseStep
 from repro.dependencies.classify import Dependency
 from repro.dependencies.template import Variable, is_variable
-from repro.relational.homomorphism import (
-    apply_assignment,
-    extend_homomorphism,
-    iter_homomorphisms,
-)
+from repro.kernel.joins import atom_equality_pattern
+from repro.relational.homomorphism import apply_assignment
 from repro.relational.instance import Instance, Row
-from repro.relational.values import Value
+from repro.relational.values import NullFactory, Value
+
+from tests.oracle.homomorphism import extend_homomorphism, iter_homomorphisms
 
 
 @dataclass(frozen=True)
@@ -117,8 +122,6 @@ def _unify_atom(atom: tuple, row: Row) -> Mapping[Variable, Value] | None:
     return assignment
 
 
-
-
 def iter_triggers_touching(
     instance: Instance,
     dependency: Dependency,
@@ -132,8 +135,6 @@ def iter_triggers_touching(
     the instance grows). Each trigger is yielded once even when several of
     its atoms land in the delta.
     """
-    from repro.chase.plan import atom_equality_pattern
-
     seen: set[tuple[tuple[str, Value], ...]] = set()
     atoms = list(dependency.antecedents)
     for pivot_index, pivot_atom in enumerate(atoms):
@@ -155,3 +156,26 @@ def iter_triggers_touching(
                     continue
                 seen.add(trigger.bindings)
                 yield trigger
+
+
+def fire_trigger(
+    instance: Instance, trigger: Trigger, fresh: NullFactory
+) -> ChaseStep:
+    """Fire ``trigger`` on ``instance`` (in place) and return the step.
+
+    Every existential variable of the dependency receives one fresh
+    labelled null, shared across all conclusion atoms — this sharing is
+    what distinguishes a genuine EID conclusion conjunction from the weaker
+    split into independent TDs.
+    """
+    dependency = trigger.dependency
+    existential_values: dict[Variable, Value] = {
+        variable: fresh() for variable in dependency.existential_variables()
+    }
+    rows = trigger.conclusion_rows(existential_values)
+    added = tuple(row for row in rows if instance.add(row))
+    return ChaseStep(
+        dependency=dependency,
+        bindings=trigger.bindings,
+        added_rows=added,
+    )

@@ -1,8 +1,8 @@
 """Differential tests: compiled homomorphism engine vs the generic search.
 
 The compiled engine (:mod:`repro.relational.homplan`) must be
-*extensionally identical* to the reference engine
-(:mod:`repro.relational.homomorphism`) — not just "finds one when one
+*extensionally identical* to the reference search kept in
+:mod:`tests.oracle.homomorphism` — not just "finds one when one
 exists" but the **same set of assignments** on every input, since
 consumers enumerate (CQ answers, axiom search) and not only test. On
 top of the raw-engine agreement, the consumer layers are held together:
@@ -12,37 +12,18 @@ idempotent and equivalence-preserving under both engines.
 """
 
 import random
+from types import SimpleNamespace
 
 import pytest
 
-from repro.relational.core import (
-    core_of,
-    find_retraction,
-    homomorphically_equivalent,
-    is_core,
-)
-from repro.relational.homomorphism import (
-    apply_assignment,
-    count_homomorphisms as legacy_count,
-)
-from repro.relational.homplan import (
-    count_homomorphisms,
-    extend_homomorphism,
-    find_homomorphism,
-    find_retraction_assignment,
-    iter_homomorphisms,
-    resolve_engine,
-)
 from repro.chase.budget import Budget
 from repro.chase.engine import chase
 from repro.chase.result import ChaseStatus
 from repro.dependencies.template import is_variable
+from repro.relational import core, homplan
+from repro.relational.homomorphism import apply_assignment
 from repro.relational.instance import Instance
-
-#: Every test runs under both join backends (the native leg skips
-#: visibly when the extension is not built): the same seeds that hold
-#: compiled ≡ legacy also hold native ≡ python.
-pytestmark = pytest.mark.usefixtures("join_backend")
+from repro.relational.queries import ConjunctiveQuery
 from repro.relational.values import LabeledNull, is_null
 from repro.workloads.generators import (
     random_cq,
@@ -51,13 +32,56 @@ from repro.workloads.generators import (
     weakly_acyclic_dependencies,
 )
 
-ENGINES = ("legacy", "compiled")
+from tests.oracle import homomorphism as oracle
+
+#: Every test runs under both join backends (the native leg skips
+#: visibly when the extension is not built): the same seeds that hold
+#: compiled ≡ legacy also hold native ≡ python.
+pytestmark = pytest.mark.usefixtures("join_backend")
+
+#: One namespace per engine: the production code and the reference
+#: search in tests/oracle, under the same names.
+ENGINE_OPS = {
+    "legacy": SimpleNamespace(
+        iter_homomorphisms=oracle.iter_homomorphisms,
+        find_homomorphism=oracle.find_homomorphism,
+        count_homomorphisms=oracle.count_homomorphisms,
+        extend_homomorphism=oracle.extend_homomorphism,
+        find_retraction_assignment=oracle.find_retraction_assignment,
+        find_retraction=oracle.find_retraction,
+        core_of=oracle.core_of,
+        is_core=oracle.is_core,
+        homomorphically_equivalent=oracle.homomorphically_equivalent,
+        answers=oracle.cq_answers,
+        is_contained_in=oracle.cq_contained_in,
+        is_equivalent_to=oracle.cq_equivalent,
+        minimized=oracle.cq_minimized,
+    ),
+    "compiled": SimpleNamespace(
+        iter_homomorphisms=homplan.iter_homomorphisms,
+        find_homomorphism=homplan.find_homomorphism,
+        count_homomorphisms=homplan.count_homomorphisms,
+        extend_homomorphism=homplan.extend_homomorphism,
+        find_retraction_assignment=homplan.find_retraction_assignment,
+        find_retraction=core.find_retraction,
+        core_of=core.core_of,
+        is_core=core.is_core,
+        homomorphically_equivalent=core.homomorphically_equivalent,
+        answers=ConjunctiveQuery.answers,
+        is_contained_in=ConjunctiveQuery.is_contained_in,
+        is_equivalent_to=ConjunctiveQuery.is_equivalent_to,
+        minimized=ConjunctiveQuery.minimized,
+    ),
+}
+ENGINES = tuple(ENGINE_OPS)
 
 
-def _assignment_set(source_rows, target, **kwargs):
+def _assignment_set(source_rows, target, engine, **kwargs):
     return {
         frozenset(h.items())
-        for h in iter_homomorphisms(source_rows, target, **kwargs)
+        for h in ENGINE_OPS[engine].iter_homomorphisms(
+            source_rows, target, **kwargs
+        )
     }
 
 
@@ -96,7 +120,7 @@ class TestEngineAgreement:
         source = _nullify(random_instance(seed=seed, rows=5), 0.5, seed)
         target = random_instance(seed=seed + 77, rows=8)
         sets = {
-            engine: _assignment_set(source.rows, target, engine=engine)
+            engine: _assignment_set(source.rows, target, engine)
             for engine in ENGINES
         }
         assert sets["compiled"] == sets["legacy"]
@@ -111,7 +135,7 @@ class TestEngineAgreement:
         )
         sets = {
             engine: _assignment_set(
-                source_td.antecedents, tableau, flexible=is_variable, engine=engine
+                source_td.antecedents, tableau, engine, flexible=is_variable
             )
             for engine in ENGINES
         }
@@ -140,7 +164,7 @@ class TestEngineAgreement:
             partial = {pinned: value}
             sets = {
                 engine: _assignment_set(
-                    source.rows, target, partial=partial, engine=engine
+                    source.rows, target, engine, partial=partial
                 )
                 for engine in ENGINES
             }
@@ -154,8 +178,8 @@ class TestEngineAgreement:
         some_value = next(iter(target.rows))[0]
         for engine in ENGINES:
             assignments = list(
-                iter_homomorphisms(
-                    [], target, partial={null: some_value}, engine=engine
+                ENGINE_OPS[engine].iter_homomorphisms(
+                    [], target, partial={null: some_value}
                 )
             )
             assert assignments == [{null: some_value}]
@@ -164,7 +188,7 @@ class TestEngineAgreement:
         source = random_instance(seed=9, rows=3)
         target = random_instance(seed=10, rows=3, constants_per_column=2)
         for engine in ENGINES:
-            found = find_homomorphism(source.rows, target, engine=engine)
+            found = ENGINE_OPS[engine].find_homomorphism(source.rows, target)
             legacy_rows_present = all(row in target for row in source.rows)
             assert (found is not None) == legacy_rows_present
 
@@ -172,22 +196,18 @@ class TestEngineAgreement:
     def test_find_and_extend_consistent_with_sets(self, seed):
         source = _nullify(random_instance(seed=seed, rows=4), 0.5, seed + 1)
         target = random_instance(seed=seed + 13, rows=7)
-        full = _assignment_set(source.rows, target, engine="legacy")
+        full = _assignment_set(source.rows, target, "legacy")
         for engine in ENGINES:
-            found = find_homomorphism(source.rows, target, engine=engine)
+            found = ENGINE_OPS[engine].find_homomorphism(source.rows, target)
             assert (found is not None) == bool(full)
             if found is not None:
                 assert frozenset(found.items()) in full
                 # An already-complete assignment must extend trivially.
-                extended = extend_homomorphism(
-                    found, source.rows, target, engine=engine
+                extended = ENGINE_OPS[engine].extend_homomorphism(
+                    found, source.rows, target
                 )
                 assert extended is not None
                 assert frozenset(extended.items()) in full
-
-    def test_resolve_engine_rejects_unknown(self):
-        with pytest.raises(ValueError):
-            resolve_engine("vectorized")
 
 
 class TestCountLimits:
@@ -202,28 +222,29 @@ class TestCountLimits:
     def test_limit_zero_is_zero(self, engine):
         source, target = self._fixture()
         assert (
-            count_homomorphisms(source.rows, target, limit=0, engine=engine)
+            ENGINE_OPS[engine].count_homomorphisms(source.rows, target, limit=0)
             == 0
         )
 
     def test_legacy_module_limit_zero_is_zero(self):
         source, target = self._fixture()
-        assert legacy_count(source.rows, target, limit=0) == 0
-        assert legacy_count(source.rows, target, limit=-3) == 0
+        assert oracle.count_homomorphisms(source.rows, target, limit=0) == 0
+        assert oracle.count_homomorphisms(source.rows, target, limit=-3) == 0
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_limit_one_caps_at_one(self, engine):
         source, target = self._fixture()
-        total = count_homomorphisms(source.rows, target, engine=engine)
-        capped = count_homomorphisms(source.rows, target, limit=1, engine=engine)
+        count = ENGINE_OPS[engine].count_homomorphisms
+        total = count(source.rows, target)
+        capped = count(source.rows, target, limit=1)
         assert capped == min(1, total)
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_unlimited_counts_agree(self, engine):
         source, target = self._fixture()
-        assert count_homomorphisms(
-            source.rows, target, engine=engine
-        ) == legacy_count(source.rows, target)
+        assert ENGINE_OPS[engine].count_homomorphisms(
+            source.rows, target
+        ) == oracle.count_homomorphisms(source.rows, target)
 
 
 class TestRetractionAndCores:
@@ -232,7 +253,7 @@ class TestRetractionAndCores:
         chased = _chased_with_nulls(seed)
         verdicts = {}
         for engine in ENGINES:
-            assignment = find_retraction(chased, engine=engine)
+            assignment = ENGINE_OPS[engine].find_retraction(chased)
             verdicts[engine] = assignment is not None
             if assignment is not None:
                 # The witness must be a genuine proper retraction.
@@ -246,16 +267,15 @@ class TestRetractionAndCores:
     @pytest.mark.parametrize("seed", range(6))
     def test_cores_isomorphic(self, seed):
         chased = _chased_with_nulls(seed)
-        cores = {engine: core_of(chased, engine=engine) for engine in ENGINES}
+        cores = {engine: ENGINE_OPS[engine].core_of(chased) for engine in ENGINES}
         assert len(cores["compiled"]) == len(cores["legacy"])
-        assert homomorphically_equivalent(cores["compiled"], cores["legacy"])
+        assert core.homomorphically_equivalent(cores["compiled"], cores["legacy"])
         for engine in ENGINES:
-            assert is_core(cores["compiled"], engine=engine)
-            assert is_core(cores["legacy"], engine=engine)
+            ops = ENGINE_OPS[engine]
+            assert ops.is_core(cores["compiled"])
+            assert ops.is_core(cores["legacy"])
             # The core embeds back into what it retracted from.
-            assert homomorphically_equivalent(
-                chased, cores["compiled"], engine=engine
-            )
+            assert ops.homomorphically_equivalent(chased, cores["compiled"])
 
     @pytest.mark.parametrize("seed", range(4))
     def test_retraction_assignment_with_partial(self, seed):
@@ -266,12 +286,11 @@ class TestRetractionAndCores:
         head_identity = {variable: variable for variable in query.head}
         results = {}
         for engine in ENGINES:
-            assignment = find_retraction_assignment(
+            assignment = ENGINE_OPS[engine].find_retraction_assignment(
                 body,
                 body_instance,
                 partial=head_identity,
                 flexible=is_variable,
-                engine=engine,
             )
             results[engine] = assignment is not None
             if assignment is not None:
@@ -292,7 +311,7 @@ class TestConjunctiveQueries:
         second = random_cq(seed=seed + 300, body_atoms=2, head_size=1)
         for left, right in ((first, second), (second, first), (first, first)):
             verdicts = {
-                engine: left.is_contained_in(right, engine=engine)
+                engine: ENGINE_OPS[engine].is_contained_in(left, right)
                 for engine in ENGINES
             }
             assert verdicts["compiled"] == verdicts["legacy"]
@@ -302,7 +321,8 @@ class TestConjunctiveQueries:
         query = random_cq(seed=seed, body_atoms=2, head_size=2)
         instance = random_instance(seed=seed + 41, rows=9)
         answers = {
-            engine: query.answers(instance, engine=engine) for engine in ENGINES
+            engine: ENGINE_OPS[engine].answers(query, instance)
+            for engine in ENGINES
         }
         assert answers["compiled"] == answers["legacy"]
 
@@ -310,14 +330,16 @@ class TestConjunctiveQueries:
     def test_minimized_idempotent_and_self_equivalent(self, seed):
         query = random_cq(seed=seed, body_atoms=3, redundant_atoms=3)
         for engine in ENGINES:
-            minimized = query.minimized(engine=engine)
+            minimize = ENGINE_OPS[engine].minimized
+            minimized = minimize(query)
             # Idempotence: a minimized query has no redundancy left.
-            assert minimized.minimized(engine=engine) == minimized
+            assert minimize(minimized) == minimized
             # Equivalence is preserved (checked under both engines).
             for check_engine in ENGINES:
-                assert query.is_equivalent_to(minimized, engine=check_engine)
-                assert minimized.is_equivalent_to(minimized, engine=check_engine)
+                equivalent = ENGINE_OPS[check_engine].is_equivalent_to
+                assert equivalent(query, minimized)
+                assert equivalent(minimized, minimized)
         # Minimal bodies are unique up to renaming: same size either way.
-        assert len(query.minimized(engine="compiled").body) == len(
-            query.minimized(engine="legacy").body
+        assert len(ENGINE_OPS["compiled"].minimized(query).body) == len(
+            ENGINE_OPS["legacy"].minimized(query).body
         )

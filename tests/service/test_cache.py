@@ -229,20 +229,30 @@ class TestUnknownBudgetPolicy:
         # A requester whose variants the entry covers still hits.
         assert cache.lookup("q", cached_budget, variants=("standard",)) is not None
 
-    def test_racing_service_retries_a_standard_only_unknown(self):
-        from repro.chase.engine import ChaseVariant
+    def test_two_variant_record_merges_into_a_service_unknown(self):
+        """A service UNKNOWN records the one variant it chased; a
+        two-variant requester misses it until a two-variant recording
+        arrives (older cache files carry such entries), which merges
+        per variant and still serves the service."""
         from repro.service import InferenceService
 
         diverging = parse_td("R(x, y) -> R(y, z)")
         target = parse_td("R(a, b) -> R(b, a)")
         cache = ResultCache()
         budget = Budget(max_steps=3)
-        standard = InferenceService(cache, variant=ChaseVariant.STANDARD)
-        first = standard.run_batch([diverging], [target], budget=budget)
-        assert first.outcomes[0].status is InferenceStatus.UNKNOWN
-        racing = InferenceService(cache, race_variants=True)
-        second = racing.run_batch([diverging], [target], budget=budget)
-        assert second.stats.cache_hits == 0 and second.stats.executed == 1
+        service = InferenceService(cache)
+        first = service.run_batch([diverging], [target], budget=budget)
+        outcome = first.outcomes[0]
+        assert outcome.status is InferenceStatus.UNKNOWN
+        fingerprint = first.items[0].fingerprint
+        both = ("standard", "semi_naive")
+        assert cache.lookup(fingerprint, budget, variants=both) is None
+        cache.record(fingerprint, outcome, budget, variants=both)
+        entry = cache.lookup(fingerprint, budget, variants=both)
+        assert entry is not None
+        assert set(entry.variants) == set(both)
+        second = service.run_batch([diverging], [target], budget=budget)
+        assert second.stats.cache_hits == 1 and second.stats.executed == 0
 
     def test_broad_unknown_survives_narrower_budget_rerecord(self):
         """Regression: a narrow re-record must not downgrade a broad UNKNOWN."""

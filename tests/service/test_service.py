@@ -3,18 +3,15 @@
 import pytest
 
 from repro.chase.budget import Budget
-from repro.chase.engine import ChaseVariant
 from repro.chase.implication import InferenceStatus, implies_all
 from repro.service import (
     InferenceService,
     QueryTask,
-    RACING_VARIANTS,
     ResultCache,
     WorkerPool,
     divide_budget,
     run_pool,
     run_serial,
-    serial_run,
 )
 from repro.dependencies.parser import parse_td
 from repro.workloads.generators import inference_workload
@@ -40,16 +37,6 @@ class TestRunBatchEquivalence:
         for item, target in zip(report.items, targets):
             assert item.target.schema == target.schema
 
-    def test_semi_naive_variant_agrees(self, workload):
-        dependencies, targets = workload
-        budget = Budget(max_steps=2_000)
-        standard = InferenceService().run_batch(dependencies, targets, budget=budget)
-        semi = InferenceService(variant=ChaseVariant.SEMI_NAIVE).run_batch(
-            dependencies, targets, budget=budget
-        )
-        assert [o.status for o in semi.outcomes] == [
-            o.status for o in standard.outcomes
-        ]
 
 
 class TestDedupAndCache:
@@ -127,16 +114,6 @@ class TestWorkerPool:
             o.status for o in serial.outcomes
         ]
 
-    def test_race_variants_matches_serial(self):
-        dependencies, targets = inference_workload(queries=8, seed=5)
-        budget = Budget(max_steps=2_000)
-        serial = InferenceService().run_batch(dependencies, targets, budget=budget)
-        with InferenceService(workers=2, race_variants=True) as service:
-            raced = service.run_batch(dependencies, targets, budget=budget)
-        assert [o.status for o in raced.outcomes] == [
-            o.status for o in serial.outcomes
-        ]
-
     def test_pooled_proof_traces_replay(self):
         from repro.chase.engine import replay
         from repro.chase.implication import conclusion_satisfied
@@ -154,7 +131,7 @@ class TestWorkerPool:
 
 class TestWorkerPoolLifecycle:
     @pytest.fixture
-    def racing_tasks(self):
+    def tasks(self):
         transitivity = parse_td("R(x, y) & R(y, z) -> R(x, z)")
         targets = [
             parse_td("R(a, b) & R(b, c) -> R(a, c)"),
@@ -165,46 +142,24 @@ class TestWorkerPoolLifecycle:
             for index, target in enumerate(targets)
         ]
 
-    def test_pool_is_reused_across_batches(self, racing_tasks):
+    def test_pool_is_reused_across_batches(self, tasks):
         with WorkerPool(1) as pool:
-            first = pool.run(racing_tasks, Budget(max_steps=500), RACING_VARIANTS)
+            first = pool.run(tasks, Budget(max_steps=500))
             # The worker processes survive between run() calls.
-            second = pool.run(racing_tasks, Budget(max_steps=500), RACING_VARIANTS)
+            second = pool.run(tasks, Budget(max_steps=500))
         for run in (first, second):
             assert all(
                 run.outcomes[slot].status is InferenceStatus.PROVED
                 for slot in (0, 1)
             )
 
-    def test_raced_losers_for_decided_slots_are_skipped(self, racing_tasks):
-        # One worker, two raced variants, decisive queries: dispatch is
-        # variant-major, so by the time each SEMI_NAIVE payload comes up
-        # its slot is decided by the STANDARD chase — it must be skipped,
-        # not chased to budget exhaustion.
-        with WorkerPool(1) as pool:
-            run = pool.run(racing_tasks, Budget(max_steps=500), RACING_VARIANTS)
-        assert run.skipped == len(racing_tasks)
-
-    def test_undecided_slots_race_every_variant(self):
-        diverging = parse_td("R(x, y) -> R(y, z)")
-        task = QueryTask(
-            slot=0,
-            dependencies=(diverging,),
-            target=parse_td("R(a, b) -> R(b, a)"),
-        )
-        with WorkerPool(1) as pool:
-            run = pool.run([task], Budget(max_steps=3), RACING_VARIANTS)
-        # Nothing decisive, so nothing skippable: both variants ran.
-        assert run.outcomes[0].status is InferenceStatus.UNKNOWN
-        assert run.skipped == 0
-
-    def test_close_is_idempotent_and_pool_restartable(self, racing_tasks):
+    def test_close_is_idempotent_and_pool_restartable(self, tasks):
         pool = WorkerPool(1)
-        first = pool.run(racing_tasks, Budget(max_steps=500), (ChaseVariant.STANDARD,))
+        first = pool.run(tasks, Budget(max_steps=500))
         pool.close()
         pool.close()
         # A fresh set of workers is forked transparently after close().
-        second = pool.run(racing_tasks, Budget(max_steps=500), (ChaseVariant.STANDARD,))
+        second = pool.run(tasks, Budget(max_steps=500))
         pool.close()
         assert [o.status for o in first.outcomes.values()] == [
             o.status for o in second.outcomes.values()
@@ -214,7 +169,7 @@ class TestWorkerPoolLifecycle:
         with pytest.raises(ValueError):
             WorkerPool(0)
 
-    def test_dead_worker_is_contained_within_the_batch(self, racing_tasks):
+    def test_dead_worker_is_contained_within_the_batch(self, tasks):
         """A killed worker must not wedge OR fail the batch: the pool is
         rebuilt in place, lost payloads are re-dispatched, and every
         slot still gets a real verdict (a long-lived server depends on
@@ -225,18 +180,14 @@ class TestWorkerPoolLifecycle:
         try:
             # Kill the worker out from under the executor.
             pool._pool.submit(os._exit, 13).exception(timeout=30)
-            contained = pool.run(
-                racing_tasks, Budget(max_steps=500), (ChaseVariant.STANDARD,)
-            )
+            contained = pool.run(tasks, Budget(max_steps=500))
             assert contained.pool_restarts >= 1
             assert all(
                 outcome.status is InferenceStatus.PROVED
                 for outcome in contained.outcomes.values()
             )
             # The rebuilt pool persists: the next batch just works.
-            recovered = pool.run(
-                racing_tasks, Budget(max_steps=500), (ChaseVariant.STANDARD,)
-            )
+            recovered = pool.run(tasks, Budget(max_steps=500))
             assert recovered.pool_restarts == 0
             assert all(
                 outcome.status is InferenceStatus.PROVED
@@ -244,81 +195,6 @@ class TestWorkerPoolLifecycle:
             )
         finally:
             pool.close()
-
-    def test_serial_run_counts_untried_variants_as_skipped(self):
-        transitivity = parse_td("R(x, y) & R(y, z) -> R(x, z)")
-        task = QueryTask(
-            slot=0,
-            dependencies=(transitivity,),
-            target=parse_td("R(a, b) & R(b, c) -> R(a, c)"),
-        )
-        run = serial_run([task], Budget(max_steps=500), RACING_VARIANTS)
-        assert run.outcomes[0].status is InferenceStatus.PROVED
-        assert run.skipped == 1  # SEMI_NAIVE never needed
-
-    def test_service_surfaces_skips_in_batch_stats(self):
-        transitivity = parse_td("R(x, y) & R(y, z) -> R(x, z)")
-        targets = [
-            parse_td("R(a, b) & R(b, c) -> R(a, c)"),
-            parse_td("R(a, b) & R(b, c) & R(c, d) -> R(a, d)"),
-        ]
-        with InferenceService(workers=1, race_variants=True) as service:
-            report = service.run_batch(
-                [transitivity], targets, budget=Budget(max_steps=500)
-            )
-        assert report.stats.executed == 2
-        assert report.stats.skipped == 2
-        assert "skipped" in report.stats.describe()
-
-    def test_serial_race_arms_share_one_frozen_start(self):
-        # Nothing decisive within the budget, so both race arms chase —
-        # the second arm must reuse the first's FrozenStart (frozen
-        # instance + intern table + goal plan) instead of rebuilding it.
-        diverging = parse_td("R(x, y) -> R(y, z)")
-        task = QueryTask(
-            slot=0,
-            dependencies=(diverging,),
-            target=parse_td("R(a, b) -> R(b, a)"),
-        )
-        run = serial_run([task], Budget(max_steps=3), RACING_VARIANTS)
-        assert run.outcomes[0].status is InferenceStatus.UNKNOWN
-        assert run.start_reuses == 1
-
-    def test_serial_decided_first_arm_reuses_nothing(self):
-        transitivity = parse_td("R(x, y) & R(y, z) -> R(x, z)")
-        task = QueryTask(
-            slot=0,
-            dependencies=(transitivity,),
-            target=parse_td("R(a, b) & R(b, c) -> R(a, c)"),
-        )
-        run = serial_run([task], Budget(max_steps=500), RACING_VARIANTS)
-        assert run.start_reuses == 0
-
-    def test_pool_race_arms_share_frozen_starts(self):
-        # One worker, undecidable-in-budget query: both raced payloads
-        # land on the same worker, whose frozen-start memo serves the
-        # second arm.
-        diverging = parse_td("R(x, y) -> R(y, z)")
-        task = QueryTask(
-            slot=0,
-            dependencies=(diverging,),
-            target=parse_td("R(a, b) -> R(b, a)"),
-        )
-        with WorkerPool(1) as pool:
-            run = pool.run([task], Budget(max_steps=3), RACING_VARIANTS)
-        assert run.outcomes[0].status is InferenceStatus.UNKNOWN
-        assert run.start_reuses == 1
-
-    def test_service_surfaces_start_reuses_in_batch_stats(self):
-        diverging = parse_td("R(x, y) -> R(y, z)")
-        with InferenceService(race_variants=True) as service:
-            report = service.run_batch(
-                [diverging],
-                [parse_td("R(a, b) -> R(b, a)")],
-                budget=Budget(max_steps=3),
-            )
-        assert report.stats.start_reuses == 1
-        assert "start rebuild(s) avoided" in report.stats.describe()
 
     def test_service_reuses_one_pool_across_batches(self):
         transitivity = parse_td("R(x, y) & R(y, z) -> R(x, z)")
@@ -352,20 +228,16 @@ class TestPremiseMemo:
 
 
 class TestScheduler:
-    def test_run_serial_races_variants_until_decisive(self):
+    def test_run_serial_decides(self):
         transitivity = parse_td("R(x, y) & R(y, z) -> R(x, z)")
         target = parse_td("R(a, b) & R(b, c) -> R(a, c)")
         task = QueryTask(slot=0, dependencies=(transitivity,), target=target)
-        results = run_serial(
-            [task],
-            Budget(max_steps=500),
-            (ChaseVariant.STANDARD, ChaseVariant.SEMI_NAIVE),
-        )
+        results = run_serial([task], Budget(max_steps=500))
         assert results[0].status is InferenceStatus.PROVED
 
     def test_run_pool_rejects_zero_workers(self):
         with pytest.raises(ValueError):
-            run_pool([], Budget(), 0, (ChaseVariant.STANDARD,))
+            run_pool([], Budget(), 0)
 
     def test_divide_budget(self):
         shared = Budget(max_steps=100, max_rows=10, max_seconds=8.0)
