@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Repo-invariant lints the generic linters cannot express.
 
-Three AST-level checks, run in CI after the unit suite:
+Four checks, run in CI after the unit suite:
 
 1. **Metric table agreement** — every metric family registered by a
    module under ``src/repro`` (any ``<registry>.counter/gauge/histogram
@@ -25,6 +25,13 @@ Three AST-level checks, run in CI after the unit suite:
    ``tests`` (in particular the reference engines in ``tests/oracle``),
    so the generic engines stay test-only.
 
+4. **Named paths exist** — every repo-relative ``tests/``,
+   ``benchmarks/``, ``scripts/``, ``perfbench/`` or ``examples/`` path
+   named in a module under ``src/repro`` or in README.md must exist, so
+   a docstring cannot cite a test suite that was never written (or
+   has since moved). Templated names (``bench_<x>.py``, globs) are
+   skipped.
+
 Exit codes: 0 clean, 1 violations (printed one per line), 2 a lint
 input file is missing. Run from anywhere::
 
@@ -45,6 +52,12 @@ README = REPO_ROOT / "README.md"
 #: The registry factory methods whose first literal argument is a
 #: metric family name.
 METRIC_FACTORIES = {"counter", "gauge", "histogram"}
+
+#: Repo-relative path mentions: one of the checked top-level
+#: directories, not itself the tail of a longer path.
+PATH_MENTION = re.compile(
+    r"(?<![\w/.\-])(?:tests|benchmarks|scripts|perfbench|examples)/[\w./<>*{}\-]*"
+)
 
 #: Instance's private storage attributes.
 PRIVATE_STORAGE = {"_rows", "_index"}
@@ -167,6 +180,29 @@ def check_oracle_is_test_only() -> list[str]:
     return problems
 
 
+def named_paths(text: str) -> list[tuple[str, int]]:
+    """(path, line) for every concrete repo-relative path mention."""
+    found = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        for match in PATH_MENTION.finditer(line):
+            path = match.group(0).rstrip(".")
+            if not any(char in path for char in "<>*{}"):
+                found.append((path, lineno))
+    return found
+
+
+def check_named_paths_exist() -> list[str]:
+    problems = []
+    for path in sorted(SRC_ROOT.rglob("*.py")) + [README]:
+        for named, lineno in named_paths(path.read_text()):
+            if not (REPO_ROOT / named).exists():
+                problems.append(
+                    f"{path.relative_to(REPO_ROOT)}:{lineno}: names "
+                    f"{named!r}, which does not exist"
+                )
+    return problems
+
+
 def main() -> int:
     missing = [path for path in (SRC_ROOT, README) if not path.exists()]
     if missing:
@@ -178,6 +214,7 @@ def main() -> int:
         check_metric_table()
         + check_instance_encapsulation()
         + check_oracle_is_test_only()
+        + check_named_paths_exist()
     )
     if problems:
         for problem in problems:
@@ -186,7 +223,7 @@ def main() -> int:
         return 1
     print(
         "invariants ok: metric table matches registrations, Instance "
-        "storage sealed, no src module imports tests"
+        "storage sealed, no src module imports tests, named paths exist"
     )
     return 0
 

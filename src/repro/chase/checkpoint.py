@@ -1,66 +1,76 @@
 """Checkpoint and resume for budget-exhausted compiled chases.
 
-A budget-exhausted chase used to throw away all its work: a retry under
-a bigger budget re-chased from row zero, and the UNKNOWN cache entry's
-budget antichain existed precisely to track that waste. This module
-captures the suspended :class:`~repro.chase.plan.ChaseSession` state —
-interned rows, the unprocessed delta frontier, the per-dependency
-``evaluated`` memos, the null counter and the cumulative stats — into a
-plain :class:`ChaseCheckpoint` value, and rebuilds an equivalent
-session later so the retry *resumes*.
+Without a checkpoint, a budget-exhausted chase throws away all its
+work: a retry under a bigger budget re-chases from row zero. This
+module captures the suspended :class:`~repro.chase.plan.ChaseSession`
+state — interned rows, the unprocessed delta frontier, the
+per-dependency ``evaluated`` memos, the null counter and the cumulative
+stats — into a plain :class:`ChaseCheckpoint` value, and rebuilds an
+equivalent session later so the retry *resumes*. The result cache
+stores the encoded checkpoint next to the UNKNOWN entry, whose budget
+antichain only decides *whether* a request needs a retry; the
+scheduler then resumes it like any other dispatched query
+(:mod:`repro.service.scheduler`).
 
-Soundness of the capture point (the BUDGET_EXHAUSTED return inside
-:meth:`ChaseSession.run`): the memos contain exactly the universal-slot
-keys already processed (``memo.add`` happens per key, before firing),
-so re-collecting matches over the interrupted round's delta re-finds
-precisely the matches the run never reached; rows added during the
-interrupted round are appended to the frontier and seed the next round
-as usual. Earlier rounds are fully memoized. Intern ids survive
-serialization because :class:`~repro.relational.values.InternTable`
-assigns ids in first-seen order and never reclaims them — re-interning
-the captured value list in order reproduces identical ids, so the
-captured int rows, frontier and memo keys stay valid verbatim.
+The capture point is the BUDGET_EXHAUSTED return inside
+:meth:`ChaseSession.run`, which records a
+:class:`~repro.chase.plan.Suspension`: the interrupted round's delta,
+the dependency whose triggers were firing, the rest of that
+dependency's trigger snapshot, and the rows the round had added. The
+memos contain exactly the universal-slot keys already processed
+(``memo.add`` happens per key, before firing), and earlier rounds are
+fully memoized. Intern ids survive serialization because
+:class:`~repro.relational.values.InternTable` assigns ids in
+first-seen order and never reclaims them — re-interning the captured
+value list in order reproduces identical ids, so the captured int rows,
+suspension and memo keys stay valid verbatim, and re-adding the rows in
+captured order rebuilds identical join indexes.
 
-Resume equivalence: the resumed run seeds *cumulative* stats (prior
-steps, prior rows, prior elapsed), so resuming under budget ``B``
-decides and exhausts exactly where one uninterrupted run under ``B``
-would on the step and row axes (the wall-clock axis is inherently
-non-deterministic either way). The differential tests in
-``tests/chaos/test_checkpoint_resume.py`` assert resumed verdict ≡
-from-scratch verdict.
+Resume equivalence: the resumed run continues mid-round with the very
+firings the interrupted run would have made next, and seeds
+*cumulative* stats (prior steps, prior rows, prior elapsed). So
+resuming under budget ``B`` fires, decides and exhausts exactly where
+one uninterrupted run under ``B`` would on the step and row axes (the
+wall-clock axis is inherently non-deterministic either way); the order
+matters, since the restricted chase's verdict within a budget depends
+on firing order. ``tests/chase/test_checkpoint.py`` asserts resumed
+verdict, steps and instance ≡ the from-scratch chase.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from repro.chase.budget import Budget, ChaseStats
 from repro.chase.implication import (
     ConclusionGoal,
     InferenceOutcome,
-    InferenceStatus,
     _freeze_target,
+    inference_outcome,
 )
-from repro.chase.plan import ChaseSession
+from repro.chase.plan import ChaseSession, Suspension
 from repro.chase.result import ChaseResult, ChaseStatus, ChaseStep
 from repro.dependencies.classify import Dependency
-from repro.kernel.backend import resolve_join_backend
 from repro.kernel.joins import IntRow
 from repro.relational.instance import Instance
 from repro.relational.values import NullFactory, Value
 
 #: Bump when the captured shape changes; decoders reject other versions.
-CHECKPOINT_VERSION = 1
+#: Version 1 captured no mid-round position (its frontier was the
+#: round's delta plus the rows the round had added); it still decodes
+#: and resumes correctly, just not firing-for-firing exactly.
+CHECKPOINT_VERSION = 2
 
 
 @dataclass
 class ChaseCheckpoint:
     """A suspended compiled chase, self-contained enough to resume.
 
-    ``values`` is the intern table in id order; ``rows``, ``frontier``
-    and the ``evaluated`` memo keys are expressed in those ids.
+    ``values`` is the intern table in id order; ``rows``, the
+    ``suspension`` and the ``evaluated`` memo keys are expressed in
+    those ids.
     ``target`` is the implication target whose frozen antecedents the
     captured instance embeds (None for plain goal-less chases, which
     currently have no resume caller).
@@ -70,7 +80,9 @@ class ChaseCheckpoint:
     target: Optional[Dependency]
     values: tuple[Value, ...]
     rows: tuple[IntRow, ...]
-    frontier: tuple[IntRow, ...]
+    #: Where the run stopped: the interrupted round's frontier and its
+    #: mid-round position.
+    suspension: Suspension
     #: Per dependency (in ``dependencies`` order): the universal-slot
     #: keys already fired or rejected.
     evaluated: tuple[tuple[tuple[int, ...], ...], ...]
@@ -89,14 +101,6 @@ class ChaseCheckpoint:
         """Captured instance size (serialization guards key on this)."""
         return len(self.rows)
 
-    def describe(self) -> str:
-        """One-line summary for logs."""
-        return (
-            f"checkpoint: {len(self.rows)} rows, "
-            f"{len(self.frontier)} frontier, {self.steps} steps, "
-            f"{self.elapsed:.3f}s spent"
-        )
-
 
 def capture_checkpoint(
     session: ChaseSession,
@@ -107,18 +111,18 @@ def capture_checkpoint(
 ) -> ChaseCheckpoint:
     """Snapshot a session that just stopped on BUDGET_EXHAUSTED."""
     state = session.state
-    frontier = session.pending_delta
-    if frontier is None:
-        # Defensive: without a captured frontier, resuming must re-seed
+    suspension = session.suspended
+    if suspension is None:
+        # Defensive: without a captured position, resuming must re-seed
         # from every row (correct, just slower — the memos still skip
         # all processed matches).
-        frontier = list(state.rows_list)
+        suspension = Suspension(delta=tuple(state.rows_list))
     return ChaseCheckpoint(
         dependencies=session.dependencies,
         target=target,
         values=tuple(state.values),
         rows=tuple(state.rows_list),
-        frontier=tuple(frontier),
+        suspension=suspension,
         evaluated=tuple(
             tuple(sorted(memo)) for memo in session.evaluated
         ),
@@ -154,8 +158,32 @@ def rebuild_session(
         raise ValueError(
             "checkpoint memo count does not match its dependency count"
         )
+    if not 0 <= checkpoint.suspension.plan_index < max(1, len(session.plans)):
+        raise ValueError("checkpoint suspends at a dependency it does not have")
     session.evaluated = [set(keys) for keys in checkpoint.evaluated]
     return working, session
+
+
+def capturing(
+    finish: Callable[[ChaseStatus], ChaseResult],
+    session: ChaseSession,
+    *,
+    stats: ChaseStats,
+    trace: Optional[Sequence[ChaseStep]],
+    target: Optional[Dependency],
+) -> Callable[[ChaseStatus], ChaseResult]:
+    """Wrap a chase's ``finish`` so a BUDGET_EXHAUSTED result carries a
+    :class:`ChaseCheckpoint` of ``session`` (the suspended run)."""
+
+    def finish_and_capture(status: ChaseStatus) -> ChaseResult:
+        result = finish(status)
+        if status is ChaseStatus.BUDGET_EXHAUSTED:
+            result.checkpoint = capture_checkpoint(
+                session, stats=stats, trace=trace, target=target
+            )
+        return result
+
+    return finish_and_capture
 
 
 def resume_implies(
@@ -163,25 +191,22 @@ def resume_implies(
     *,
     budget: Optional[Budget] = None,
     record_trace: bool = True,
-    recheckpoint: bool = True,
 ) -> InferenceOutcome:
     """Continue a suspended implication test under a (bigger) budget.
 
     The resumed run charges the checkpoint's spent steps, rows and
     elapsed time against the new budget, so its verdict matches one
     uninterrupted run under that budget. If the new budget also runs
-    out, the UNKNOWN outcome carries a fresh checkpoint
-    (``recheckpoint``), so retries chain.
+    out, the UNKNOWN outcome carries a fresh checkpoint, so retries
+    chain.
     """
     target = checkpoint.target
     if target is None:
         raise ValueError("checkpoint carries no implication target")
     __, frozen = _freeze_target(target)
-    goal = ConclusionGoal(target, frozen)
     working, session = rebuild_session(checkpoint, target.schema)
-    budget = budget if budget is not None else Budget()
     stats = ChaseStats(
-        budget=budget,
+        budget=budget if budget is not None else Budget(),
         steps=checkpoint.steps,
         rows_added=checkpoint.rows_added,
         started_at=time.monotonic() - checkpoint.elapsed,
@@ -190,48 +215,23 @@ def resume_implies(
     trace: list[ChaseStep] = list(checkpoint.trace) if tracing else []
 
     def finish(status: ChaseStatus) -> ChaseResult:
-        result = ChaseResult(
+        return ChaseResult(
             status=status, instance=working, steps=trace, stats=stats
         )
-        if recheckpoint and status is ChaseStatus.BUDGET_EXHAUSTED:
-            result.checkpoint = capture_checkpoint(
-                session,
-                stats=stats,
-                trace=trace if tracing else None,
-                target=target,
-            )
-        return result
 
     result = session.run(
-        list(checkpoint.frontier),
+        checkpoint.suspension.delta,
         stats=stats,
         trace=trace,
-        goal=goal,
+        goal=ConclusionGoal(target, frozen),
         record_trace=tracing,
-        finish=finish,
-    )
-    backend = resolve_join_backend()
-    if result.status is ChaseStatus.GOAL_REACHED:
-        return InferenceOutcome(
-            status=InferenceStatus.PROVED,
+        finish=capturing(
+            finish,
+            session,
+            stats=stats,
+            trace=trace if tracing else None,
             target=target,
-            chase_result=result,
-            frozen_assignment=frozen,
-            join_backend=backend,
-        )
-    if result.status is ChaseStatus.TERMINATED:
-        return InferenceOutcome(
-            status=InferenceStatus.DISPROVED,
-            target=target,
-            chase_result=result,
-            counterexample=result.instance,
-            frozen_assignment=frozen,
-            join_backend=backend,
-        )
-    return InferenceOutcome(
-        status=InferenceStatus.UNKNOWN,
-        target=target,
-        chase_result=result,
-        frozen_assignment=frozen,
-        join_backend=backend,
+        ),
+        resume=checkpoint.suspension,
     )
+    return inference_outcome(result, target, frozen)

@@ -155,6 +155,41 @@ class ConclusionGoal:
         return conclusion_satisfied(instance, self.target, self.goal_partial)
 
 
+#: What each way a goal-directed chase can stop says about ``D ⊨ d``.
+_VERDICTS = {
+    ChaseStatus.GOAL_REACHED: InferenceStatus.PROVED,
+    ChaseStatus.TERMINATED: InferenceStatus.DISPROVED,
+    ChaseStatus.BUDGET_EXHAUSTED: InferenceStatus.UNKNOWN,
+}
+
+
+def inference_outcome(
+    result: ChaseResult,
+    target: Dependency,
+    frozen: dict[Variable, Value],
+    *,
+    analysis: Optional[dict] = None,
+) -> InferenceOutcome:
+    """The verdict a chase of the frozen target reached, with certificates.
+
+    Shared by :func:`implies` and
+    :func:`repro.chase.checkpoint.resume_implies`: a terminated chase's
+    instance is the DISPROVED counterexample.
+    """
+    status = _VERDICTS[result.status]
+    return InferenceOutcome(
+        status=status,
+        target=target,
+        chase_result=result,
+        counterexample=(
+            result.instance if status is InferenceStatus.DISPROVED else None
+        ),
+        frozen_assignment=frozen,
+        analysis=analysis,
+        join_backend=resolve_join_backend(),
+    )
+
+
 def implies(
     dependencies: Sequence[Dependency],
     target: Dependency,
@@ -228,34 +263,7 @@ def implies(
         checkpoint=run_checkpoint,
         strata=run_strata,
     )
-    backend = resolve_join_backend()
-    if result.status is ChaseStatus.GOAL_REACHED:
-        return InferenceOutcome(
-            status=InferenceStatus.PROVED,
-            target=target,
-            chase_result=result,
-            frozen_assignment=frozen,
-            analysis=provenance,
-            join_backend=backend,
-        )
-    if result.status is ChaseStatus.TERMINATED:
-        return InferenceOutcome(
-            status=InferenceStatus.DISPROVED,
-            target=target,
-            chase_result=result,
-            counterexample=result.instance,
-            frozen_assignment=frozen,
-            analysis=provenance,
-            join_backend=backend,
-        )
-    return InferenceOutcome(
-        status=InferenceStatus.UNKNOWN,
-        target=target,
-        chase_result=result,
-        frozen_assignment=frozen,
-        analysis=provenance,
-        join_backend=backend,
-    )
+    return inference_outcome(result, target, frozen, analysis=provenance)
 
 
 def implies_all(

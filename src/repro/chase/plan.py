@@ -44,6 +44,7 @@ why they compare semantics, not step sequences.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from repro.chase.result import ChaseResult, ChaseStatus, ChaseStep
@@ -365,6 +366,23 @@ def _collect_matches_all(
     return out
 
 
+@dataclass(frozen=True)
+class Suspension:
+    """Where a compiled chase stopped on BUDGET_EXHAUSTED, mid-round.
+
+    ``delta`` is the interrupted round's frontier, ``plan_index`` the
+    dependency whose triggers were firing, ``remaining`` the universal
+    keys of that dependency's trigger snapshot not yet fired (None:
+    re-collect them) and ``added`` the rows the round had added so far
+    (the next round's delta).
+    """
+
+    delta: tuple[IntRow, ...]
+    plan_index: int = 0
+    remaining: Optional[tuple[tuple[int, ...], ...]] = None
+    added: tuple[IntRow, ...] = ()
+
+
 class ChaseSession:
     """A suspendable compiled chase over one live instance.
 
@@ -401,7 +419,7 @@ class ChaseSession:
         "evaluated",
         "record_derivations",
         "derivations",
-        "pending_delta",
+        "suspended",
     )
 
     def __init__(
@@ -430,13 +448,11 @@ class ChaseSession:
         self.derivations: dict[
             tuple[int, tuple[int, ...]], tuple[IntRow, ...]
         ] = {}
-        #: The unprocessed delta frontier at the moment the last run
-        #: stopped on BUDGET_EXHAUSTED (None otherwise). Re-seeding a
-        #: later run with exactly these rows continues the computation:
-        #: the ``evaluated`` memos hold exactly the matches already
-        #: processed, so re-collecting over this frontier re-finds the
-        #: matches the interrupted round never reached and nothing else.
-        self.pending_delta: Optional[list[IntRow]] = None
+        #: Where the last run stopped on BUDGET_EXHAUSTED (None
+        #: otherwise): passing it back as :meth:`run`'s ``resume``
+        #: continues with exactly the firings the run would have made
+        #: next.
+        self.suspended: Optional[Suspension] = None
 
     def clear_memos(self) -> None:
         """Forget trigger evaluations (required after any deletion)."""
@@ -452,8 +468,17 @@ class ChaseSession:
         goal: Optional[Callable[[Instance], bool]],
         record_trace: bool,
         finish: Callable[[ChaseStatus], ChaseResult],
+        resume: Optional[Suspension] = None,
     ) -> ChaseResult:
-        """Chase to a fixpoint from the given delta frontier."""
+        """Chase to a fixpoint from the given delta frontier.
+
+        With ``resume`` (a previous run's :attr:`suspended`, the
+        frontier then being that run's ``delta``), the first round
+        picks up mid-round where the suspended run stopped, so the
+        firing sequence is the one an uninterrupted run makes. A
+        resumed run whose ``stats`` are already exhausted fires
+        nothing.
+        """
         state = self.state
         working = self.instance
         values = state.values
@@ -487,17 +512,29 @@ class ChaseSession:
         derivations = self.derivations
 
         trivial_dispatch = self.dispatcher.trivial
-        self.pending_delta = None
+        self.suspended = None
         delta = list(delta)
+        first_plan, carried, added_this_round = 0, None, []
+        if resume is not None:
+            first_plan = resume.plan_index
+            carried = resume.remaining
+            added_this_round = list(resume.added)
+            if stats.exhausted(len(working)):
+                self.suspended = resume
+                return finish(ChaseStatus.BUDGET_EXHAUSTED)
         while delta:
-            added_this_round: list[IntRow] = []
             seeds_per_plan = (
                 None if trivial_dispatch else self.dispatcher.seeds(delta)
             )
             for plan_index, (dependency, plan, memo) in enumerate(
                 zip(dependencies, plans, evaluated)
             ):
-                if seeds_per_plan is None:
+                if plan_index < first_plan:
+                    continue
+                if carried is not None:
+                    # The suspended plan's unfired trigger snapshot.
+                    matches, carried = list(carried), None
+                elif seeds_per_plan is None:
                     matches = _collect_matches_all(state, plan, delta, memo)
                 else:
                     seeds = seeds_per_plan[plan_index]
@@ -512,7 +549,7 @@ class ChaseSession:
                 existential_slots = plan.existential_slots
                 conclusion_atom_slots = plan.conclusion_atom_slots
                 regs = [0] * n_slots
-                for key in matches:
+                for position, key in enumerate(matches):
                     # ``matches`` is already deduplicated within the
                     # round and filtered against the memo by
                     # _collect_matches*, so every key here is new.
@@ -558,14 +595,14 @@ class ChaseSession:
                     elif goal is not None and goal(working):
                         return finish(ChaseStatus.GOAL_REACHED)
                     if stats.exhausted(len(working)):
-                        # Capture the frontier a resumed run must
-                        # re-seed from: the current round's delta (its
-                        # unprocessed matches are exactly those not yet
-                        # in the memos) plus everything added this
-                        # round (the next round's delta).
-                        self.pending_delta = list(delta) + added_this_round
+                        self.suspended = Suspension(
+                            delta=tuple(delta),
+                            plan_index=plan_index,
+                            remaining=tuple(matches[position + 1 :]),
+                            added=tuple(added_this_round),
+                        )
                         return finish(ChaseStatus.BUDGET_EXHAUSTED)
-            delta = added_this_round
+            delta, added_this_round, first_plan = added_this_round, [], 0
         return finish(ChaseStatus.TERMINATED)
 
 
@@ -600,29 +637,23 @@ def run_compiled_chase(
     re-chasing from row zero.
     """
     session = ChaseSession(working, dependencies, fresh=fresh)
-    run_finish = finish
     if checkpoint:
+        from repro.chase.checkpoint import capturing
 
-        def run_finish(status: ChaseStatus) -> ChaseResult:
-            result = finish(status)
-            if status is ChaseStatus.BUDGET_EXHAUSTED:
-                from repro.chase.checkpoint import capture_checkpoint
-
-                result.checkpoint = capture_checkpoint(
-                    session,
-                    stats=stats,
-                    trace=trace if record_trace else None,
-                    target=getattr(goal, "target", None),
-                )
-            return result
-
+        finish = capturing(
+            finish,
+            session,
+            stats=stats,
+            trace=trace if record_trace else None,
+            target=getattr(goal, "target", None),
+        )
     return session.run(
         session.state.rows_list,
         stats=stats,
         trace=trace,
         goal=goal,
         record_trace=record_trace,
-        finish=run_finish,
+        finish=finish,
     )
 
 

@@ -23,6 +23,7 @@ from repro.dependencies.template import TemplateDependency, Variable
 from repro.errors import ReproError
 from repro.chase.budget import Budget, ChaseStats
 from repro.chase.checkpoint import CHECKPOINT_VERSION, ChaseCheckpoint
+from repro.chase.plan import Suspension
 from repro.chase.implication import InferenceOutcome, InferenceStatus
 from repro.chase.result import ChaseResult, ChaseStatus, ChaseStep
 from repro.obs.metrics import MetricsSnapshot
@@ -496,6 +497,7 @@ def checkpoint_to_json(checkpoint: ChaseCheckpoint) -> Json:
     them, so re-interning the encoded ``values`` list in order on
     decode reproduces identical ids.
     """
+    suspension = checkpoint.suspension
     payload: dict = {
         "version": CHECKPOINT_VERSION,
         "dependencies": [
@@ -504,7 +506,9 @@ def checkpoint_to_json(checkpoint: ChaseCheckpoint) -> Json:
         ],
         "values": [value_to_json(value) for value in checkpoint.values],
         "rows": [list(irow) for irow in checkpoint.rows],
-        "frontier": [list(irow) for irow in checkpoint.frontier],
+        "frontier": [list(irow) for irow in suspension.delta],
+        "plan_index": suspension.plan_index,
+        "added": [list(irow) for irow in suspension.added],
         "evaluated": [
             [list(key) for key in keys] for keys in checkpoint.evaluated
         ],
@@ -513,6 +517,8 @@ def checkpoint_to_json(checkpoint: ChaseCheckpoint) -> Json:
         "rows_added": checkpoint.rows_added,
         "elapsed": checkpoint.elapsed,
     }
+    if suspension.remaining is not None:
+        payload["remaining"] = [list(key) for key in suspension.remaining]
     if checkpoint.target is not None:
         payload["target"] = dependency_to_json(checkpoint.target)
     if checkpoint.trace is not None:
@@ -556,10 +562,14 @@ def checkpoint_from_json(payload: Json) -> ChaseCheckpoint:
     """Decode a suspended chase; :class:`CodecError` on junk."""
     if not isinstance(payload, dict) or "rows" not in payload:
         raise CodecError("checkpoint payload needs 'rows'")
-    if payload.get("version") != CHECKPOINT_VERSION:
+    if payload.get("version") not in (1, CHECKPOINT_VERSION):
         raise CodecError(
             f"unsupported checkpoint version {payload.get('version')!r}"
         )
+
+    def int_rows(key: str) -> tuple[tuple[int, ...], ...]:
+        return tuple(tuple(map(int, irow)) for irow in payload.get(key, []))
+
     try:
         target_payload = payload.get("target")
         trace_payload = payload.get("trace")
@@ -576,9 +586,14 @@ def checkpoint_from_json(payload: Json) -> ChaseCheckpoint:
             values=tuple(
                 value_from_json(entry) for entry in payload.get("values", [])
             ),
-            rows=tuple(tuple(map(int, irow)) for irow in payload["rows"]),
-            frontier=tuple(
-                tuple(map(int, irow)) for irow in payload.get("frontier", [])
+            rows=int_rows("rows"),
+            suspension=Suspension(
+                delta=int_rows("frontier"),
+                plan_index=int(payload.get("plan_index", 0)),
+                remaining=(
+                    int_rows("remaining") if "remaining" in payload else None
+                ),
+                added=int_rows("added"),
             ),
             evaluated=tuple(
                 tuple(tuple(map(int, key)) for key in keys)

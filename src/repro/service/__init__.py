@@ -9,9 +9,11 @@ must fan out across cores. This package layers exactly that on top of
 * :mod:`repro.service.cache` — a content-addressed verdict cache (LRU +
   optional append-only JSON-lines disk tier), keyed by the canonical
   query hashes of :mod:`repro.dependencies.canonical`;
-* :mod:`repro.service.scheduler` — serial and multiprocessing execution
-  through a persistent :class:`WorkerPool` (submit/drain, crash
-  containment) with budget division;
+* :mod:`repro.service.scheduler` — one dispatch function
+  (:func:`run_task`: resume a stale UNKNOWN's checkpoint, else chase
+  from scratch) run serially (:func:`serial_run`) or through a
+  persistent :class:`WorkerPool` (submit/drain, crash containment),
+  with budget division;
 * :mod:`repro.service.api` — the :class:`InferenceService` facade with
   ``submit()`` / ``run()`` / ``run_batch()``;
 * :mod:`repro.service.server` — a long-lived stdlib-asyncio HTTP
@@ -63,9 +65,7 @@ from repro.service.scheduler import (
     QueryTask,
     WorkerPool,
     divide_budget,
-    run_pool,
-    run_serial,
-    run_tasks,
+    run_task,
     serial_run,
 )
 from repro.service.server import InferenceServer, ServerStats, ServerThread
@@ -88,10 +88,8 @@ __all__ = [
     "PoolRun",
     "WorkerPool",
     "divide_budget",
-    "run_serial",
+    "run_task",
     "serial_run",
-    "run_pool",
-    "run_tasks",
     "InferenceServer",
     "ServerStats",
     "ServerThread",

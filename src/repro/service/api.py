@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.chase.budget import Budget
-from repro.chase.checkpoint import resume_implies
 from repro.chase.engine import replay
 from repro.chase.implication import (
     InferenceOutcome,
@@ -47,11 +46,6 @@ from repro.chase.maintain import (
 from repro.dependencies.canonical import premise_key, query_fingerprint
 from repro.dependencies.classify import Dependency
 from repro.errors import ReproError
-from repro.io.json_codec import (
-    CodecError,
-    checkpoint_from_json,
-    encode_checkpoint,
-)
 from repro.obs.metrics import MetricsRegistry, Stopwatch
 from repro.obs.trace import RunTrace, Span, TraceBuffer, new_trace_id
 from repro.service.cache import ResultCache, budget_meet
@@ -67,13 +61,6 @@ from repro.service.scheduler import (
 
 class ProofVerificationError(ReproError):
     """A chase-produced PROVED trace failed its replay verification."""
-
-
-#: The chase variants every cache entry records. The cache format
-#: predates the single chase and keeps a per-variant antichain of
-#: budgets; recording (and looking up) the one variant the service runs
-#: keeps existing cache files loading and hitting unchanged.
-CACHE_VARIANTS = ("standard",)
 
 
 @dataclass
@@ -179,10 +166,6 @@ class InferenceService:
       :class:`ProofVerificationError`. Off by default — it re-does a
       bounded version of the chase's work — but it is what gives the
       ``verify`` stage of ``repro_stage_seconds`` real semantics.
-    * ``checkpoints`` — store suspended-chase checkpoints next to
-      UNKNOWN cache entries and *resume* them when a retry arrives with
-      a budget the entry does not cover, instead of re-chasing from row
-      zero (on by default).
     * ``trace_capacity`` — how many recent run traces :attr:`traces`
       retains for ``GET /v1/trace/<id>``.
     * ``max_restarts`` — how many in-place worker-pool rebuilds one
@@ -201,7 +184,6 @@ class InferenceService:
         share_budget: bool = False,
         metrics: Optional[MetricsRegistry] = None,
         verify_proofs: bool = False,
-        checkpoints: bool = True,
         trace_capacity: int = 256,
         max_restarts: int = 3,
     ):
@@ -215,7 +197,6 @@ class InferenceService:
         self.record_trace = record_trace
         self.share_budget = share_budget
         self.verify_proofs = verify_proofs
-        self.checkpoints = checkpoints
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.traces = TraceBuffer(trace_capacity)
         self._instruments = ServiceInstruments(self.metrics)
@@ -363,54 +344,6 @@ class InferenceService:
             )
         return True
 
-    def _resume_from_checkpoint(
-        self, fingerprint: str, budget: Budget
-    ) -> Optional[tuple[InferenceOutcome, float]]:
-        """Resume a stale UNKNOWN's suspended chase under ``budget``.
-
-        Returns ``(outcome, seconds)`` when the cache held a usable
-        checkpoint, None otherwise (no checkpoint, undecodable payload,
-        or a checkpoint that cannot rebuild — all of which simply fall
-        back to a from-scratch chase). The resumed run charges the
-        checkpoint's prior steps/rows/time against ``budget``, so its
-        verdict matches an uninterrupted run under the same budget.
-        """
-        if not self.checkpoints:
-            return None
-        payload = self.cache.checkpoint_for(fingerprint)
-        if payload is None:
-            return None
-        try:
-            checkpoint = checkpoint_from_json(payload)
-        except CodecError:
-            return None
-        resume_started = time.perf_counter()
-        try:
-            outcome = resume_implies(
-                checkpoint, budget=budget, record_trace=self.record_trace
-            )
-        except (ValueError, ReproError):
-            return None
-        seconds = time.perf_counter() - resume_started
-        instruments = self._instruments
-        instruments.checkpoint_resumes.inc()
-        instruments.stage_seconds.labels(stage="chase").observe(seconds)
-        instruments.chase_run_seconds.labels(
-            verdict=outcome.status.value
-        ).observe(seconds)
-        if outcome.chase_result is not None:
-            chase_stats = outcome.chase_result.stats
-            if chase_stats is not None:
-                # The outcome's stats are cumulative (prior + resumed);
-                # the work counters want only what this run added.
-                instruments.chase_steps.inc(
-                    max(0, chase_stats.steps - checkpoint.steps)
-                )
-                instruments.chase_rows.inc(
-                    max(0, chase_stats.rows_added - checkpoint.rows_added)
-                )
-        return outcome, seconds
-
     def run(
         self,
         budget: Optional[Budget] = None,
@@ -443,6 +376,32 @@ class InferenceService:
         spans: list[Span] = []
         #: Per-query trace rows, indexed by submission order.
         query_rows: list[dict] = [{} for _ in pending]
+
+        def answer(
+            query: _Pending,
+            outcome: InferenceOutcome,
+            source: str,
+            chase_row: Optional[dict] = None,
+        ) -> None:
+            """Serve one query, and its trace row; ``source`` is
+            ``cache``, ``dedup``, ``chase`` or ``resume``."""
+            items[query.index] = BatchItem(
+                index=query.index,
+                target=query.target,
+                fingerprint=query.fingerprint,
+                outcome=outcome,
+                from_cache=source == "cache",
+                deduplicated=source == "dedup",
+            )
+            row = {
+                "index": query.index,
+                "fingerprint": query.fingerprint,
+                "status": outcome.status.value,
+                "source": source,
+            }
+            if chase_row is not None:
+                row["chase"] = dict(chase_row)
+            query_rows[query.index] = row
 
         instruments.batches.inc()
         instruments.queries.inc(len(pending))
@@ -478,7 +437,6 @@ class InferenceService:
                 query.fingerprint,
                 lookup_budget,
                 require_trace=self.record_trace,
-                variants=CACHE_VARIANTS,
             )
             lookup_stage.observe(time.perf_counter() - lookup_started)
             if entry is not None and derive_budgets:
@@ -489,20 +447,7 @@ class InferenceService:
                     entry = None
             if entry is not None:
                 stats.cache_hits += 1
-                outcome = entry.outcome()
-                items[query.index] = BatchItem(
-                    index=query.index,
-                    target=query.target,
-                    fingerprint=query.fingerprint,
-                    outcome=outcome,
-                    from_cache=True,
-                )
-                query_rows[query.index] = {
-                    "index": query.index,
-                    "fingerprint": query.fingerprint,
-                    "status": outcome.status.value,
-                    "source": "cache",
-                }
+                answer(query, entry.outcome(), "cache")
                 continue
             groups.setdefault(query.fingerprint, []).append(query)
         instruments.cache_hits.inc(stats.cache_hits)
@@ -515,74 +460,11 @@ class InferenceService:
                 )
             )
 
-        # Resume pass: a stale UNKNOWN whose entry carries a suspended
-        # chase is continued under the requested budget instead of
-        # re-chased from row zero. Judged against the same pessimistic
-        # lookup budget as the cache pass, and recorded back exactly as
-        # a from-scratch chase under that budget would be (with a fresh
-        # chained checkpoint if the new budget also ran out).
-        resume_seconds = 0.0
-        # A derive batch skips checkpoint resume: certified sets chase
-        # straight to fixpoint, and uncertified ones re-chase under the
-        # batch budget exactly as a non-derive miss would after the
-        # resume found nothing.
-        for fingerprint in [] if derive_budgets else list(groups):
-            hit = self._resume_from_checkpoint(fingerprint, lookup_budget)
-            if hit is None:
-                continue
-            outcome, seconds = hit
-            members = groups.pop(fingerprint)
-            stats.resumed += 1
-            stats.chase_seconds += seconds
-            resume_seconds += seconds
-            steps = (
-                outcome.chase_result.steps
-                if outcome.chase_result is not None
-                else []
-            )
-            if self.verify_proofs and outcome.proved and steps:
-                self._verify_proof(outcome)
-            next_checkpoint = encode_checkpoint(outcome)
-            self.cache.record(
-                fingerprint,
-                outcome,
-                lookup_budget,
-                # A resumed run records a replayable trace only when the
-                # checkpoint carried the prior steps; don't claim one
-                # for a PROVED outcome that cannot replay.
-                traced=self.record_trace
-                and (not outcome.proved or bool(steps)),
-                variants=CACHE_VARIANTS,
-                checkpoint=next_checkpoint,
-            )
-            if next_checkpoint is not None:
-                instruments.checkpoints_stored.inc()
-            for position, query in enumerate(members):
-                if position > 0:
-                    stats.deduplicated += 1
-                items[query.index] = BatchItem(
-                    index=query.index,
-                    target=query.target,
-                    fingerprint=fingerprint,
-                    outcome=outcome,
-                    deduplicated=position > 0,
-                )
-                query_rows[query.index] = {
-                    "index": query.index,
-                    "fingerprint": fingerprint,
-                    "status": outcome.status.value,
-                    "source": "dedup" if position > 0 else "resume",
-                }
-        if stats.resumed:
-            spans.append(
-                Span(
-                    "resume",
-                    resume_seconds,
-                    {"resumed": stats.resumed},
-                )
-            )
-
         # Execute one representative per group, serially or on the pool.
+        # A stale UNKNOWN whose entry carries a suspended chase resumes
+        # it instead of re-chasing from row zero. A derive batch skips
+        # that: certified sets chase straight to fixpoint, and
+        # uncertified ones re-chase under the batch budget.
         tasks = []
         representatives: list[tuple[str, list[_Pending]]] = []
         for slot, (fingerprint, members) in enumerate(sorted(groups.items())):
@@ -593,6 +475,11 @@ class InferenceService:
                     dependencies=representative.dependencies,
                     target=representative.target,
                     derive=derive_budgets,
+                    checkpoint=(
+                        None
+                        if derive_budgets
+                        else self.cache.checkpoint_for(fingerprint)
+                    ),
                 )
             )
             representatives.append((fingerprint, members))
@@ -611,9 +498,9 @@ class InferenceService:
                 )
             )
         # With share_budget the batch budget is split across every chase
-        # actually dispatched. The divided budget is also what gets
-        # recorded (an UNKNOWN is only conclusive for the work its chase
-        # was given).
+        # actually dispatched, resumed ones included. The divided budget
+        # is also what gets recorded (an UNKNOWN is only conclusive for
+        # the work its chase was given).
         per_query = (
             divide_budget(budget, len(tasks))
             if self.share_budget and tasks
@@ -623,41 +510,44 @@ class InferenceService:
             run = PoolRun()
         elif self.workers == 0:
             run = serial_run(
-                tasks,
-                per_query,
-                self.record_trace,
-                metrics=self.metrics,
-                capture_checkpoints=self.checkpoints,
+                tasks, per_query, self.record_trace, metrics=self.metrics
             )
         else:
             # The pool persists across run() calls: batch N+1 reuses the
             # worker processes batch N forked.
-            run = self.pool().run(
-                tasks,
-                per_query,
-                self.record_trace,
-                capture_checkpoints=self.checkpoints,
-            )
+            run = self.pool().run(tasks, per_query, self.record_trace)
         outcomes = run.outcomes
-        stats.executed = len(tasks)
+        stats.resumed = len(run.resumed)
+        stats.executed = len(tasks) - stats.resumed
         stats.chase_seconds = run.chase_seconds
-        instruments.executed.inc(len(tasks))
+        instruments.executed.inc(stats.executed)
         if tasks:
             spans.append(
                 Span(
                     "dispatch",
                     watch.split(),
                     {
-                        "executed": len(tasks),
+                        "executed": stats.executed,
+                        "resumed": stats.resumed,
                         "chase_seconds": round(run.chase_seconds, 6),
                         "workers": self.workers,
                     },
                 )
             )
 
+        # A resumed PROVED carries a replayable trace only when its
+        # checkpoint carried the prior steps; one without is neither
+        # verified nor recorded as traced.
+        untraced = {
+            slot
+            for slot in run.resumed
+            if outcomes[slot].proved and not outcomes[slot].chase_result.steps
+        }
         if self.verify_proofs and tasks:
             verified = sum(
-                self._verify_proof(outcomes[slot]) for slot in range(len(tasks))
+                self._verify_proof(outcomes[slot])
+                for slot in range(len(tasks))
+                if slot not in untraced
             )
             spans.append(
                 Span("verify", watch.split(), {"proofs_verified": verified})
@@ -679,8 +569,7 @@ class InferenceService:
                     fingerprint,
                     outcome,
                     per_query,
-                    traced=self.record_trace,
-                    variants=CACHE_VARIANTS,
+                    traced=self.record_trace and slot not in untraced,
                     checkpoint=checkpoint_payload,
                 )
                 if checkpoint_payload is not None:
@@ -716,25 +605,10 @@ class InferenceService:
                     "rows_added": chase_stats.rows_added,
                     "seconds": round(chase_stats.elapsed_seconds, 6),
                 }
+            source = "resume" if slot in run.resumed else "chase"
             for position, query in enumerate(members):
-                if position > 0:
-                    stats.deduplicated += 1
-                items[query.index] = BatchItem(
-                    index=query.index,
-                    target=query.target,
-                    fingerprint=fingerprint,
-                    outcome=outcome,
-                    deduplicated=position > 0,
-                )
-                row = {
-                    "index": query.index,
-                    "fingerprint": fingerprint,
-                    "status": outcome.status.value,
-                    "source": "dedup" if position > 0 else "chase",
-                }
-                if chase_row is not None:
-                    row["chase"] = dict(chase_row)
-                query_rows[query.index] = row
+                answer(query, outcome, "dedup" if position else source, chase_row)
+            stats.deduplicated += len(members) - 1
         instruments.deduplicated.inc(stats.deduplicated)
         if representatives:
             spans.append(

@@ -13,17 +13,20 @@ Caching policy by status:
 * **PROVED / DISPROVED** — final answers; reusable under any budget. A
   PROVED entry recorded with tracing off is flagged (``traced=False``)
   and treated as stale for callers that require a replayable proof.
-* **UNKNOWN** — only means "not decided *within this budget, by these
-  chase variants*", so the entry remembers both and is served only to
-  requests whose budget it covers and whose variant set it tried; a
-  bigger budget — or a variant the entry never ran (racing can decide
-  queries a lone STANDARD chase cannot) — is a miss and retries.
-  Re-recording an UNKNOWN never discards knowledge: a narrower
-  recording *merges* into the existing entry instead of overwriting it,
-  so a broad UNKNOWN survives narrow re-records and identical queries
-  keep hitting. The merge is per-variant — each variant remembers the
-  budget it was actually chased under, and the entry never claims a
-  (budget, variant) combination no chase ran.
+* **UNKNOWN** — only means "not decided *within this budget*", so the
+  entry remembers the budgets its chases ran under and is served only
+  to requests one of them covers; a bigger budget is a miss and
+  retries (resuming the suspended chase stored beside the entry, when
+  there is one). Re-recording an UNKNOWN never discards knowledge: a
+  narrower recording *merges* into the existing entry's budget
+  antichain instead of overwriting it, so a broad UNKNOWN survives
+  narrow re-records and identical queries keep hitting, and the entry
+  never claims a budget no chase ran.
+
+Lines written before the cache dropped its per-variant budgets
+(``"variants"`` / ``"variant_budgets"``) still load: an UNKNOWN keeps
+only the budgets its ``standard`` arm ran under, and compaction
+rewrites such lines in the current shape.
 
 The in-memory tier is a bounded LRU. An optional on-disk tier
 (:class:`JsonLinesStore`, append-only JSON lines) makes verdicts survive
@@ -91,7 +94,7 @@ def budget_join(first: Budget, second: Budget) -> Budget:
     """The axis-wise most generous of two budgets (``None`` = unlimited).
 
     The join covers both inputs; UNKNOWN entries use it as their
-    summary budget (the per-variant antichain is what staleness reads).
+    summary budget (the budget antichain is what staleness reads).
     """
 
     def join(a: Optional[float], b: Optional[float]) -> Optional[float]:
@@ -144,20 +147,14 @@ class CacheEntry:
     #: entry recorded without traces carries no replayable certificate and
     #: is stale for callers that want one.
     traced: bool = True
-    #: The chase variants the verdict was computed under (enum values).
-    #: An UNKNOWN is only conclusive for requests whose variants it tried.
-    variants: tuple[str, ...] = ("standard",)
-    #: Per-variant budgets the chases actually ran under — for each
-    #: variant, the *antichain* of mutually incomparable budgets tried
-    #: (dominated ones are pruned on merge). UNKNOWN staleness is judged
-    #: against these — never against a synthesized combination no chase
-    #: ran — and keeping every maximal recording means clients with
-    #: incomparable budgets (more steps vs more seconds) all hit instead
-    #: of alternately re-chasing. ``None`` derives the uniform mapping
-    #: ``{variant: (budget,)}`` (every pre-merge recording is uniform).
-    variant_budgets: Optional[dict[str, tuple[Budget, ...]]] = field(
-        default=None, repr=False
-    )
+    #: UNKNOWN only: the budgets the chases actually ran under — the
+    #: *antichain* of mutually incomparable budgets tried (dominated
+    #: ones are pruned on merge). Staleness is judged against these —
+    #: never against a synthesized combination no chase ran — and
+    #: keeping every maximal recording means clients with incomparable
+    #: budgets (more steps vs more seconds) all hit instead of
+    #: alternately re-chasing.
+    budgets: tuple[Budget, ...] = ()
     #: Suspended-chase checkpoint (encoded,
     #: :func:`repro.io.json_codec.checkpoint_to_json`) for UNKNOWN
     #: entries only. Lives *outside* ``payload`` so it survives
@@ -177,14 +174,6 @@ class CacheEntry:
             self.decoded = outcome_from_json(self.payload)
         return self.decoded
 
-    def tried(self) -> dict[str, tuple[Budget, ...]]:
-        """What was actually chased: variant -> budgets it ran under."""
-        if self.variant_budgets is None:
-            self.variant_budgets = {
-                variant: (self.budget,) for variant in self.variants
-            }
-        return self.variant_budgets
-
     def to_json(self) -> Json:
         """The entry as one JSON-lines record."""
         record: dict = {
@@ -192,14 +181,10 @@ class CacheEntry:
             "status": self.status.value,
             "budget": budget_to_json(self.budget),
             "traced": self.traced,
-            "variants": list(self.variants),
             "outcome": self.payload,
         }
         if self.status is InferenceStatus.UNKNOWN:
-            record["variant_budgets"] = {
-                variant: [budget_to_json(budget) for budget in budgets]
-                for variant, budgets in self.tried().items()
-            }
+            record["budgets"] = [budget_to_json(each) for each in self.budgets]
             if self.checkpoint is not None:
                 record["checkpoint"] = self.checkpoint
         return record
@@ -210,28 +195,39 @@ class CacheEntry:
         if not isinstance(payload, dict) or "fingerprint" not in payload:
             raise CodecError(f"bad cache entry payload {payload!r}")
         try:
-            tried_payload = payload.get("variant_budgets")
+            budget = budget_from_json(payload["budget"])
             return CacheEntry(
                 fingerprint=payload["fingerprint"],
                 status=InferenceStatus(payload["status"]),
-                budget=budget_from_json(payload["budget"]),
+                budget=budget,
                 payload=payload["outcome"],
                 traced=bool(payload.get("traced", True)),
-                variants=tuple(payload.get("variants", ("standard",))),
-                variant_budgets=(
-                    {
-                        variant: tuple(
-                            budget_from_json(entry) for entry in entries
-                        )
-                        for variant, entries in tried_payload.items()
-                    }
-                    if isinstance(tried_payload, dict)
-                    else None
-                ),
+                budgets=_budgets_from_json(payload, budget),
                 checkpoint=payload.get("checkpoint"),
             )
         except (KeyError, ValueError, TypeError, AttributeError) as error:
             raise CodecError(f"bad cache entry payload: {error}") from error
+
+
+def _budgets_from_json(payload: dict, budget: Budget) -> tuple[Budget, ...]:
+    """An entry line's budget antichain, older line shapes included.
+
+    Lines from before the per-variant budgets were dropped carry
+    ``"variant_budgets"`` (variant -> budgets) or, older still, only
+    ``"variants"`` ran uniformly under ``"budget"``. The one chase the
+    service runs now is the former ``standard`` variant, so only its
+    budgets carry over; an entry whose ``standard`` arm never ran keeps
+    none and is stale for every request (its checkpoint still resumes).
+    """
+    if "budgets" in payload:
+        listed = payload["budgets"]
+    elif isinstance(payload.get("variant_budgets"), dict):
+        listed = payload["variant_budgets"].get("standard", ())
+    elif "standard" in payload.get("variants", ("standard",)):
+        return (budget,)
+    else:
+        return ()
+    return tuple(budget_from_json(each) for each in listed)
 
 
 @dataclass
@@ -269,39 +265,35 @@ def merge_unknown_entries(
 ) -> Optional[CacheEntry]:
     """Combine two UNKNOWN recordings for one fingerprint.
 
-    Returns None when ``entry`` adds nothing (every variant it tried
-    was already tried under a covering budget); otherwise an entry
-    whose per-variant budgets accumulate both recordings, so knowledge
-    is never overwritten by whichever caller recorded last. Each kept
-    (variant, budget) pair is one that really chased: a fresh budget
-    joins its variant's antichain (pruning budgets it covers) rather
-    than replacing it, so clients with mutually incomparable budgets
-    (more steps vs more seconds) all keep hitting — a synthesized join
-    of two recordings would be unsound, and picking just one would make
-    the others re-chase forever.
+    Returns None when ``entry`` adds nothing (every budget it ran under
+    is covered by one already held); otherwise an entry whose budget
+    antichain accumulates both recordings, so knowledge is never
+    overwritten by whichever caller recorded last. Each kept budget is
+    one a chase really ran under: a fresh budget joins the antichain
+    (pruning budgets it covers) rather than replacing it, so clients
+    with mutually incomparable budgets (more steps vs more seconds) all
+    keep hitting — a synthesized join of two recordings would be
+    unsound, and picking just one would make the others re-chase
+    forever.
 
     Shared by the live cache (:meth:`ResultCache._insert`) and disk
     compaction (:func:`fold_entries`), so both agree on what a merged
     line means.
     """
-    merged = dict(existing.tried())
+    held = existing.budgets
     changed = False
-    for variant, fresh_budgets in entry.tried().items():
-        held = merged.get(variant, ())
-        for fresh in fresh_budgets:
-            if any(budget_covers(kept, fresh) for kept in held):
-                continue  # a prior chase subsumes this one
-            held = tuple(
-                kept for kept in held if not budget_covers(fresh, kept)
-            ) + (fresh,)
-            changed = True
-        merged[variant] = held
+    for fresh in entry.budgets:
+        if any(budget_covers(kept, fresh) for kept in held):
+            continue  # a prior chase subsumes this one
+        held = tuple(
+            kept for kept in held if not budget_covers(fresh, kept)
+        ) + (fresh,)
+        changed = True
     if not changed:
         return None
     budget = entry.budget
-    for chased in merged.values():
-        for each in chased:
-            budget = budget_join(budget, each)
+    for each in held:
+        budget = budget_join(budget, each)
     # Keep whichever suspended chase got further: resuming from the
     # deeper checkpoint skips more recomputation, and both are sound.
     checkpoint = existing.checkpoint
@@ -311,17 +303,11 @@ def merge_unknown_entries(
         fingerprint=entry.fingerprint,
         status=InferenceStatus.UNKNOWN,
         # The entry-level budget is a summary (the join of what ran,
-        # for logs and humans); staleness reads variant_budgets.
+        # for logs and humans); staleness reads ``budgets``.
         budget=budget,
         payload=entry.payload,
         traced=entry.traced,
-        variants=existing.variants
-        + tuple(
-            variant
-            for variant in entry.variants
-            if variant not in existing.variants
-        ),
-        variant_budgets=merged,
+        budgets=held,
         checkpoint=checkpoint,
         decoded=entry.decoded,
     )
@@ -332,7 +318,7 @@ def fold_entries(entries: Iterator[CacheEntry]) -> "OrderedDict[str, CacheEntry]
 
     Applies exactly the live cache's insert invariants: decisive
     verdicts are final (an UNKNOWN never replaces one), later decisive
-    entries win, and UNKNOWN re-records *merge* per-variant knowledge.
+    entries win, and UNKNOWN re-records *merge* their budget antichains.
     The result is what a fresh unbounded :class:`ResultCache` would
     hold after replaying the stream.
     """
@@ -482,7 +468,7 @@ class JsonLinesStore:
         """Rewrite the file keeping only last-wins lines; returns lines kept.
 
         The fold applies the cache's own insert invariants (decisive
-        verdicts final, UNKNOWNs merged per-variant), so a reload of the
+        verdicts final, UNKNOWN budget antichains merged), so a reload of the
         compacted file reconstructs the identical cache state. The
         rewrite goes through a sibling temp file and an atomic
         ``replace``, so a crash mid-compaction leaves the original
@@ -643,16 +629,13 @@ class ResultCache:
         budget: Budget,
         *,
         require_trace: bool = False,
-        variants: Optional[tuple[str, ...]] = None,
     ) -> Optional[CacheEntry]:
         """Return a usable entry for ``fingerprint`` under ``budget``, or None.
 
-        Three kinds of entries count as *stale* (the caller should
-        recompute and re-record, which merges): an UNKNOWN some of whose
-        requested ``variants`` were never chased under a budget covering
-        the request (a different discipline — or more work — may decide
-        what the recorded chases could not; with ``variants=None`` any
-        one covered variant suffices); and — with ``require_trace`` — a
+        Two kinds of entries count as *stale* (the caller should
+        recompute and re-record, which merges): an UNKNOWN none of whose
+        chased budgets covers the request (more work may decide what the
+        recorded chases could not); and — with ``require_trace`` — a
         PROVED computed with tracing off, which carries no replayable
         certificate.
         """
@@ -660,26 +643,11 @@ class ResultCache:
         if entry is None:
             self.stats.misses += 1
             return None
-        if entry.status is InferenceStatus.UNKNOWN:
-            tried = entry.tried()
-
-            def covered(chased: tuple[Budget, ...]) -> bool:
-                return any(budget_covers(b, budget) for b in chased)
-
-            if variants is None:
-                # A variant-agnostic caller is served when *some* chase
-                # already did at least the requested work.
-                usable = any(covered(chased) for chased in tried.values())
-            else:
-                # A variant-specific caller needs *every* requested
-                # variant to have been chased with covering work.
-                usable = all(
-                    variant in tried and covered(tried[variant])
-                    for variant in variants
-                )
-            if not usable:
-                self.stats.stale += 1
-                return None
+        if entry.status is InferenceStatus.UNKNOWN and not any(
+            budget_covers(chased, budget) for chased in entry.budgets
+        ):
+            self.stats.stale += 1
+            return None
         if (
             require_trace
             and entry.status is InferenceStatus.PROVED
@@ -712,13 +680,12 @@ class ResultCache:
         budget: Budget,
         *,
         traced: bool = True,
-        variants: tuple[str, ...] = ("standard",),
         checkpoint: Optional[Json] = None,
     ) -> CacheEntry:
         """Store ``outcome`` under ``fingerprint`` (and on disk, if tiered).
 
-        An UNKNOWN carries no reusable certificate — only its status,
-        budget and variants matter for later lookups — so its payload is
+        An UNKNOWN carries no reusable certificate — only its status and
+        budget matter for later lookups — so its payload is
         stripped of the (potentially huge, budget-exhausted) chase result
         before encoding. The in-process memo still holds the full outcome.
         An encoded ``checkpoint`` rides along with UNKNOWN entries so a
@@ -738,8 +705,7 @@ class ResultCache:
             budget=budget,
             payload=payload,
             traced=traced,
-            variants=tuple(variants),
-            variant_budgets={variant: (budget,) for variant in variants},
+            budgets=(budget,),
             checkpoint=(
                 checkpoint
                 if outcome.status is InferenceStatus.UNKNOWN
@@ -752,17 +718,11 @@ class ResultCache:
             return self._entries[entry.fingerprint]
         if self._store is not None:
             # The *stored* entry goes to disk: when an UNKNOWN was merged
-            # with an earlier one, the appended line carries the joined
-            # budget and the variant union, so a later-lines-win reload
+            # with an earlier one, the appended line carries the whole
+            # budget antichain, so a later-lines-win reload
             # keeps the merged knowledge rather than the narrow re-record.
             self._store.append(stored)
         return stored
-
-    def _merge_unknown(
-        self, existing: CacheEntry, entry: CacheEntry
-    ) -> Optional[CacheEntry]:
-        """See :func:`merge_unknown_entries` (shared with compaction)."""
-        return merge_unknown_entries(existing, entry)
 
     def _insert(self, entry: CacheEntry) -> Optional[CacheEntry]:
         """Insert ``entry``; returns what was stored, or None for a no-op.
@@ -774,8 +734,8 @@ class ResultCache:
           requirement) must never replace one — in memory or, via the
           skipped disk append, in the later-lines-win on-disk tier.
         * An UNKNOWN must never *downgrade* an UNKNOWN: re-recording
-          under a narrower budget or fewer variants merges per-variant
-          knowledge instead of overwriting, otherwise the staleness
+          under a narrower budget merges the budget antichains instead
+          of overwriting, otherwise the staleness
           logic in :meth:`lookup` sees only the narrow entry and
           identical queries re-chase forever.
         """
@@ -784,7 +744,7 @@ class ResultCache:
             if existing.status is not InferenceStatus.UNKNOWN:
                 self._entries.move_to_end(entry.fingerprint)
                 return None
-            merged = self._merge_unknown(existing, entry)
+            merged = merge_unknown_entries(existing, entry)
             if merged is None:
                 self._entries.move_to_end(entry.fingerprint)
                 return None

@@ -11,8 +11,13 @@ result cache stores.
 **Persistent pool**: :class:`WorkerPool` owns long-lived worker
 processes with a submit/drain scheduler, so callers that dispatch many
 batches (the batch CLI looping over files, the HTTP server coalescing
-micro-batches) pay the fork cost once, not per batch. The one-shot
-:func:`run_pool` wrapper keeps the old construct-per-call API.
+micro-batches) pay the fork cost once, not per batch.
+
+**One dispatch path**: :func:`serial_run` and the pool's workers both
+chase through :func:`run_task`. A task carrying a stale UNKNOWN's
+checkpoint resumes that suspended chase; every other task (or one
+whose checkpoint no longer rebuilds) chases from scratch. Either way an
+UNKNOWN comes back with a fresh checkpoint, so retries chain.
 
 **Budget-aware division**: :func:`divide_budget` splits one global budget
 fairly across ``n`` queries, for callers that want a whole-batch bound
@@ -40,18 +45,21 @@ from repro import faults
 from repro.chase.budget import Budget
 from repro.obs.metrics import MetricsRegistry
 from repro.service.instruments import ServiceInstruments
+from repro.chase.checkpoint import resume_implies
 from repro.chase.implication import (
     InferenceOutcome,
     InferenceStatus,
     implies,
 )
 from repro.dependencies.classify import Dependency
+from repro.errors import ReproError
 from repro.kernel.backend import resolve_join_backend, set_join_backend
 from repro.kernel.joins import memoized
 from repro.io.json_codec import (
     Json,
     budget_from_json,
     budget_to_json,
+    checkpoint_from_json,
     dependency_from_json,
     dependency_to_json,
     encode_checkpoint,
@@ -70,12 +78,24 @@ class QueryTask:
     returns a decisive verdict instead of UNKNOWN. Queries with an
     explicit caller budget keep it exactly (``analysis="auto"`` only
     annotates them).
+
+    ``checkpoint`` is the stale UNKNOWN's encoded suspended chase
+    (:func:`repro.io.json_codec.checkpoint_to_json`), or None: the task
+    resumes from it when it decodes and rebuilds.
     """
 
     slot: int
     dependencies: tuple[Dependency, ...]
     target: Dependency
     derive: bool = False
+    checkpoint: Optional[Json] = None
+
+
+#: One executed task: its outcome, the encoded checkpoint of an UNKNOWN
+#: (None past ``REPRO_CHECKPOINT_MAX_ROWS`` or when decided) and, for a
+#: resumed task, the ``(steps, rows_added)`` its checkpoint had behind
+#: it (None for a from-scratch chase).
+Dispatched = tuple[InferenceOutcome, Optional[Json], Optional[tuple[int, int]]]
 
 
 @dataclass
@@ -92,11 +112,13 @@ class PoolRun:
     #: parent-side, submit to completion, so the wire round-trip is
     #: included — the time a query really spent being chased for.
     chase_seconds: float = 0.0
-    #: Encoded suspended-chase checkpoints for slots whose best outcome
-    #: is UNKNOWN, captured only when the caller asked for them. The
-    #: facade stores these next to the UNKNOWN cache entries so retries
-    #: resume instead of re-chasing.
+    #: Encoded checkpoints of the UNKNOWN slots. The facade stores these
+    #: next to the UNKNOWN cache entries so retries resume instead of
+    #: re-chasing.
     checkpoints: dict[int, Json] = field(default_factory=dict)
+    #: Slots whose task resumed its checkpoint (the rest chased from
+    #: scratch).
+    resumed: set[int] = field(default_factory=set)
     #: Worker pools rebuilt in place during this run (crash containment).
     pool_restarts: int = 0
     #: Undecided payloads re-dispatched after a worker crash.
@@ -104,6 +126,46 @@ class PoolRun:
     #: Payloads quarantined after repeatedly crashing workers; their
     #: slots hold FAILED outcomes.
     quarantined: int = 0
+
+    def collect(
+        self,
+        slot: int,
+        dispatched: Dispatched,
+        seconds: float,
+        instruments: Optional[ServiceInstruments],
+    ) -> None:
+        """Record one executed dispatch here and in the metric families.
+
+        The chase kernel's own work counters (trigger firings, rows
+        inserted) are surfaced from the outcome's :class:`ChaseResult`
+        stats rather than re-measured — UNKNOWN outcomes that crossed
+        the wire travel slim and simply contribute nothing here. A
+        resumed chase's stats are cumulative, so the counters get only
+        the work done past its checkpoint.
+        """
+        outcome, checkpoint, resumed_from = dispatched
+        self.chase_seconds += seconds
+        self.outcomes[slot] = outcome
+        if checkpoint is not None:
+            self.checkpoints[slot] = checkpoint
+        if resumed_from is not None:
+            self.resumed.add(slot)
+        if instruments is None:
+            return
+        if resumed_from is not None:
+            instruments.checkpoint_resumes.inc()
+        instruments.stage_seconds.labels(stage="chase").observe(seconds)
+        instruments.chase_run_seconds.labels(
+            verdict=outcome.status.value
+        ).observe(seconds)
+        if outcome.chase_result is not None:
+            stats = outcome.chase_result.stats
+            if stats is not None:
+                prior_steps, prior_rows = resumed_from or (0, 0)
+                instruments.chase_steps.inc(max(0, stats.steps - prior_steps))
+                instruments.chase_rows.inc(
+                    max(0, stats.rows_added - prior_rows)
+                )
 
 
 def divide_budget(budget: Budget, ways: int) -> Budget:
@@ -121,28 +183,33 @@ def divide_budget(budget: Budget, ways: int) -> Budget:
     )
 
 
-def _observe_dispatch(
-    instruments: Optional[ServiceInstruments],
-    verdict_value: str,
-    seconds: float,
-    outcome: Optional[InferenceOutcome] = None,
-) -> None:
-    """Record one executed chase dispatch into the metric families.
+def run_task(task: QueryTask, budget: Budget, record_trace: bool) -> Dispatched:
+    """Chase one task: resume its checkpoint, or chase from scratch.
 
-    The chase kernel's own work counters (trigger firings, rows
-    inserted) are surfaced from the outcome's :class:`ChaseResult`
-    stats rather than re-measured — UNKNOWN outcomes that crossed the
-    wire travel slim and simply contribute nothing here.
+    A checkpoint that does not decode or rebuild falls back to a
+    from-scratch chase. The resumed run charges the checkpoint's spent
+    work against ``budget``, so it reaches the verdict one uninterrupted
+    run under that budget would.
     """
-    if instruments is None:
-        return
-    instruments.stage_seconds.labels(stage="chase").observe(seconds)
-    instruments.chase_run_seconds.labels(verdict=verdict_value).observe(seconds)
-    if outcome is not None and outcome.chase_result is not None:
-        stats = outcome.chase_result.stats
-        if stats is not None:
-            instruments.chase_steps.inc(stats.steps)
-            instruments.chase_rows.inc(stats.rows_added)
+    if task.checkpoint is not None:
+        try:
+            suspended = checkpoint_from_json(task.checkpoint)
+            outcome = resume_implies(
+                suspended, budget=budget, record_trace=record_trace
+            )
+            resumed_from = (suspended.steps, suspended.rows_added)
+            return outcome, encode_checkpoint(outcome), resumed_from
+        except (ValueError, ReproError):
+            pass
+    outcome = implies(
+        list(task.dependencies),
+        task.target,
+        budget=budget,
+        record_trace=record_trace,
+        checkpoint=True,
+        analysis="derive" if task.derive else "auto",
+    )
+    return outcome, encode_checkpoint(outcome), None
 
 
 def serial_run(
@@ -150,8 +217,6 @@ def serial_run(
     budget: Budget,
     record_trace: bool = True,
     metrics: Optional[MetricsRegistry] = None,
-    *,
-    capture_checkpoints: bool = False,
 ) -> PoolRun:
     """Run every task in-process, one chase each.
 
@@ -161,50 +226,28 @@ def serial_run(
     instruments = ServiceInstruments(metrics) if metrics is not None else None
     run = PoolRun()
     for task in tasks:
-        dispatched = time.perf_counter()
-        outcome = implies(
-            list(task.dependencies),
-            task.target,
-            budget=budget,
-            record_trace=record_trace,
-            checkpoint=capture_checkpoints,
-            analysis="derive" if task.derive else "auto",
+        started = time.perf_counter()
+        dispatched = run_task(task, budget, record_trace)
+        run.collect(
+            task.slot, dispatched, time.perf_counter() - started, instruments
         )
-        elapsed = time.perf_counter() - dispatched
-        run.chase_seconds += elapsed
-        _observe_dispatch(instruments, outcome.status.value, elapsed, outcome)
-        run.outcomes[task.slot] = outcome
-        if capture_checkpoints and outcome.status is InferenceStatus.UNKNOWN:
-            checkpoint_payload = encode_checkpoint(outcome)
-            if checkpoint_payload is not None:
-                run.checkpoints[task.slot] = checkpoint_payload
     return run
 
 
-def run_serial(
-    tasks: Sequence[QueryTask],
-    budget: Budget,
-    record_trace: bool = True,
-) -> dict[int, InferenceOutcome]:
-    """:func:`serial_run`, returning just the slot-to-outcome mapping."""
-    return serial_run(tasks, budget, record_trace).outcomes
-
-
 #: What crosses the process boundary: (slot, premises, target, budget,
-#: record_trace, capture_checkpoint, derive_budget) outbound and (slot,
-#: outcome JSON, checkpoint JSON or None) back. Premises travel as a
-#: pre-serialized JSON *string*: encoded once per distinct premise
-#: tuple, pickled cheaply per payload, and usable as a worker-side memo
-#: key so each worker decodes a batch's shared premise set once, not
-#: once per payload.
-_WirePayload = tuple[int, str, Json, Json, bool, bool, bool]
+#: record_trace, derive_budget, checkpoint JSON or None) outbound and
+#: (slot, outcome JSON, checkpoint JSON or None, resumed-from counts or
+#: None) back. Premises travel as a pre-serialized JSON *string*:
+#: encoded once per distinct premise tuple, pickled cheaply per
+#: payload, and usable as a worker-side memo key so each worker decodes
+#: a batch's shared premise set once, not once per payload.
+_WirePayload = tuple[int, str, Json, Json, bool, bool, Optional[Json]]
 
 
 def _encode_payloads(
     tasks: Sequence[QueryTask],
     budget: Budget,
     record_trace: bool,
-    capture_checkpoints: bool = False,
 ) -> list[_WirePayload]:
     """Encode every task's wire payload.
 
@@ -234,8 +277,8 @@ def _encode_payloads(
                 dependency_to_json(task.target),
                 budget_payload,
                 record_trace,
-                capture_checkpoints,
                 task.derive,
+                task.checkpoint,
             )
         )
     return payloads
@@ -293,7 +336,7 @@ def _decode_premises(premises_wire: str) -> list[Dependency]:
 
 def _execute_payload(
     payload: _WirePayload,
-) -> tuple[int, Json, Optional[Json]]:
+) -> tuple[int, Json, Optional[Json], Optional[tuple[int, int]]]:
     """Worker entry point: decode, chase, encode. Must stay module-level
     (and exception-free) so every start method can dispatch to it."""
     (
@@ -302,29 +345,31 @@ def _execute_payload(
         target_payload,
         budget_payload,
         record,
-        capture,
         derive,
+        checkpoint,
     ) = payload
     if faults.fire("worker_kill", slot):
         # Chaos hook: die the way a segfault or the OOM killer would —
         # no exception, no cleanup, just a vanished process.
         os._exit(1)
-    outcome = implies(
-        _decode_premises(premises_wire),
-        dependency_from_json(target_payload),
-        budget=budget_from_json(budget_payload),
-        record_trace=record,
-        checkpoint=capture,
-        analysis="derive" if derive else "auto",
+    task = QueryTask(
+        slot=slot,
+        dependencies=tuple(_decode_premises(premises_wire)),
+        target=dependency_from_json(target_payload),
+        derive=derive,
+        checkpoint=checkpoint,
+    )
+    outcome, next_checkpoint, resumed_from = run_task(
+        task, budget_from_json(budget_payload), record
     )
     # UNKNOWN payloads cross the process boundary slim: the exhausted
     # chase result can dwarf the chase itself on the wire. The
-    # checkpoint (when captured and under the size cap) rides beside
-    # the slim payload, not inside it.
+    # checkpoint rides beside the slim payload, not inside it.
     return (
         slot,
         slim_unknown_outcome(outcome_to_json(outcome)),
-        encode_checkpoint(outcome) if capture else None,
+        next_checkpoint,
+        resumed_from,
     )
 
 
@@ -431,8 +476,6 @@ class WorkerPool:
         tasks: Sequence[QueryTask],
         budget: Budget,
         record_trace: bool = True,
-        *,
-        capture_checkpoints: bool = False,
     ) -> PoolRun:
         """Fan tasks out over the workers, one chase each.
 
@@ -448,9 +491,7 @@ class WorkerPool:
         instruments = self._instruments
         pool = self.start()._pool
         assert pool is not None
-        pending = deque(
-            _encode_payloads(tasks, budget, record_trace, capture_checkpoints)
-        )
+        pending = deque(_encode_payloads(tasks, budget, record_trace))
         failure: Optional[BaseException] = None
         # future -> (payload, submit time): the payload rides along so a
         # crash can re-dispatch exactly what was lost; payloads queue
@@ -566,49 +607,10 @@ class WorkerPool:
             # behind them.
             if failure is None:
                 refill()
-            for slot, outcome_payload, checkpoint_payload, seconds in arrivals:
-                run.chase_seconds += seconds
-                outcome = outcome_from_json(outcome_payload)
-                _observe_dispatch(
-                    instruments, outcome.status.value, seconds, outcome
-                )
-                run.outcomes[slot] = outcome
-                if checkpoint_payload is not None:
-                    run.checkpoints[slot] = checkpoint_payload
+            for slot, wire, checkpoint, resumed_from, seconds in arrivals:
+                dispatched = (outcome_from_json(wire), checkpoint, resumed_from)
+                run.collect(slot, dispatched, seconds, instruments)
         if failure is not None:
             # Only non-crash errors reach here (crashes are contained).
             raise failure
         return run
-
-
-def run_pool(
-    tasks: Sequence[QueryTask],
-    budget: Budget,
-    workers: int,
-    record_trace: bool = True,
-) -> dict[int, InferenceOutcome]:
-    """One-shot :class:`WorkerPool` dispatch (constructs and tears down).
-
-    A pool of one process still isolates chase memory from the caller.
-    Long-lived callers should hold a :class:`WorkerPool` instead and
-    reuse it across batches.
-    """
-    if workers < 1:
-        raise ValueError("run_pool needs at least one worker")
-    if not tasks:
-        return {}
-    with WorkerPool(workers) as pool:
-        return pool.run(tasks, budget, record_trace).outcomes
-
-
-def run_tasks(
-    tasks: Sequence[QueryTask],
-    budget: Budget,
-    *,
-    workers: int = 0,
-    record_trace: bool = True,
-) -> dict[int, InferenceOutcome]:
-    """Dispatch tasks serially (``workers == 0``) or through the pool."""
-    if workers == 0:
-        return run_serial(tasks, budget, record_trace)
-    return run_pool(tasks, budget, workers, record_trace)

@@ -120,9 +120,7 @@ class ServerStats:
     #: Wall seconds of whole InferenceService runs (hashing, cache
     #: traffic and scheduling included).
     batch_seconds: float = 0.0
-    #: Wall seconds actually spent inside chase dispatches. Historically
-    #: this field held what ``batch_seconds`` now holds; the two are
-    #: split so "time serving batches" and "time chasing" read apart.
+    #: Wall seconds actually spent inside chase dispatches.
     chase_seconds: float = 0.0
 
 

@@ -1,5 +1,7 @@
 """Tests for repro.service.cache: round-trips, budgets, LRU, disk tier."""
 
+import json
+
 import pytest
 
 from repro.chase.budget import Budget
@@ -208,52 +210,6 @@ class TestUnknownBudgetPolicy:
         cache.record("q", self._unknown_outcome(Budget(max_steps=3)), cached_budget)
         assert cache.lookup("q", Budget(max_steps=10)) is not None
 
-    def test_untried_variant_is_a_stale_miss(self):
-        cached_budget = Budget(max_steps=3)
-        cache = ResultCache()
-        cache.record(
-            "q",
-            self._unknown_outcome(cached_budget),
-            cached_budget,
-            variants=("standard",),
-        )
-        # Same budget, but the requester also races SEMI_NAIVE — a
-        # discipline the entry never tried, which might decide the query.
-        assert (
-            cache.lookup(
-                "q", cached_budget, variants=("standard", "semi_naive")
-            )
-            is None
-        )
-        assert cache.stats.stale == 1
-        # A requester whose variants the entry covers still hits.
-        assert cache.lookup("q", cached_budget, variants=("standard",)) is not None
-
-    def test_two_variant_record_merges_into_a_service_unknown(self):
-        """A service UNKNOWN records the one variant it chased; a
-        two-variant requester misses it until a two-variant recording
-        arrives (older cache files carry such entries), which merges
-        per variant and still serves the service."""
-        from repro.service import InferenceService
-
-        diverging = parse_td("R(x, y) -> R(y, z)")
-        target = parse_td("R(a, b) -> R(b, a)")
-        cache = ResultCache()
-        budget = Budget(max_steps=3)
-        service = InferenceService(cache)
-        first = service.run_batch([diverging], [target], budget=budget)
-        outcome = first.outcomes[0]
-        assert outcome.status is InferenceStatus.UNKNOWN
-        fingerprint = first.items[0].fingerprint
-        both = ("standard", "semi_naive")
-        assert cache.lookup(fingerprint, budget, variants=both) is None
-        cache.record(fingerprint, outcome, budget, variants=both)
-        entry = cache.lookup(fingerprint, budget, variants=both)
-        assert entry is not None
-        assert set(entry.variants) == set(both)
-        second = service.run_batch([diverging], [target], budget=budget)
-        assert second.stats.cache_hits == 1 and second.stats.executed == 0
-
     def test_broad_unknown_survives_narrower_budget_rerecord(self):
         """Regression: a narrow re-record must not downgrade a broad UNKNOWN."""
         broad, narrow = Budget(max_steps=100), Budget(max_steps=5)
@@ -266,107 +222,28 @@ class TestUnknownBudgetPolicy:
         assert entry is not None
         assert entry.budget.max_steps == 100
 
-    def test_broad_variant_set_survives_narrower_rerecord(self):
-        budget = Budget(max_steps=5)
-        cache = ResultCache()
-        cache.record(
-            "q",
-            self._unknown_outcome(budget),
-            budget,
-            variants=("standard", "semi_naive"),
-        )
-        cache.record("q", self._unknown_outcome(budget), budget, variants=("standard",))
-        entry = cache.lookup("q", budget, variants=("standard", "semi_naive"))
-        assert entry is not None
-        assert set(entry.variants) == {"standard", "semi_naive"}
-
-    def test_merge_accumulates_per_variant_budgets(self):
-        cache = ResultCache()
-        cache.record(
-            "q",
-            self._unknown_outcome(Budget(max_steps=100)),
-            Budget(max_steps=100),
-            variants=("standard",),
-        )
-        cache.record(
-            "q",
-            self._unknown_outcome(Budget(max_steps=10)),
-            Budget(max_steps=10),
-            variants=("semi_naive",),
-        )
-        # Knowledge accumulated: both recordings survive, each variant
-        # remembering the budget its chase actually ran under.
-        entry = cache.lookup(
-            "q", Budget(max_steps=10), variants=("standard", "semi_naive")
-        )
-        assert entry is not None
-        assert set(entry.variants) == {"standard", "semi_naive"}
-        assert [b.max_steps for b in entry.tried()["standard"]] == [100]
-        assert [b.max_steps for b in entry.tried()["semi_naive"]] == [10]
-        # Serving stays per-variant honest: standard alone is known up
-        # to 100 steps, but both variants together only up to 10.
-        assert cache.lookup("q", Budget(max_steps=100), variants=("standard",))
-
-    def test_merge_never_claims_untried_budget_variant_combinations(self):
-        """The merge must not serve UNKNOWN for work nobody did.
-
-        After standard@100 and semi_naive@10, a request for both
-        variants at 50 steps must be a stale miss — a 50-step SEMI_NAIVE
-        chase never ran and might be decisive. Recording that retry then
-        converges instead of looping.
-        """
-        cache = ResultCache()
-        cache.record(
-            "q",
-            self._unknown_outcome(Budget(max_steps=100)),
-            Budget(max_steps=100),
-            variants=("standard",),
-        )
-        cache.record(
-            "q",
-            self._unknown_outcome(Budget(max_steps=10)),
-            Budget(max_steps=10),
-            variants=("semi_naive",),
-        )
-        request = Budget(max_steps=50)
-        assert cache.lookup("q", request, variants=("standard", "semi_naive")) is None
-        # The retry records both variants at 50; the standard variant
-        # keeps its broader 100-step knowledge through the merge...
-        cache.record(
-            "q",
-            self._unknown_outcome(request),
-            request,
-            variants=("standard", "semi_naive"),
-        )
-        entry = cache.lookup("q", request, variants=("standard", "semi_naive"))
-        assert entry is not None
-        assert [b.max_steps for b in entry.tried()["standard"]] == [100]
-        assert [b.max_steps for b in entry.tried()["semi_naive"]] == [50]
-        # ...and the identical request now hits instead of re-chasing.
-        assert cache.stats.stale == 1
-
     def test_incomparable_budgets_accumulate_and_all_clients_hit(self):
         """Regression: clients with incomparable budgets must not make
         each other's recordings vanish and alternate re-chasing forever.
 
         Client A uses (100 steps, 10 s); client B uses (5 steps, 50 s).
-        Neither covers the other, so the variant keeps *both* chased
+        Neither covers the other, so the entry keeps *both* chased
         budgets; after one chase each, both clients hit every time.
         """
         budget_a = Budget(max_steps=100, max_seconds=10.0)
         budget_b = Budget(max_steps=5, max_seconds=50.0)
         cache = ResultCache()
         cache.record("q", self._unknown_outcome(budget_a), budget_a)
-        assert cache.lookup("q", budget_b, variants=("standard",)) is None
+        assert cache.lookup("q", budget_b) is None
         cache.record("q", self._unknown_outcome(budget_b), budget_b)
         # Both recordings survive side by side...
-        entry = cache.lookup("q", budget_a, variants=("standard",))
+        entry = cache.lookup("q", budget_a)
         assert entry is not None
-        assert len(entry.tried()["standard"]) == 2
+        assert len(entry.budgets) == 2
         # ...so both clients' identical re-requests are hits, not the
         # alternating stale misses a keep-one policy would produce.
-        assert cache.lookup("q", budget_b, variants=("standard",)) is not None
-        assert cache.lookup("q", budget_a, variants=("standard",)) is not None
+        assert cache.lookup("q", budget_b) is not None
+        assert cache.lookup("q", budget_a) is not None
         assert cache.stats.stale == 1  # only B's first-ever request
 
     def test_covering_budget_prunes_dominated_antichain_entries(self):
@@ -375,32 +252,28 @@ class TestUnknownBudgetPolicy:
         cache = ResultCache()
         cache.record("q", self._unknown_outcome(narrow), narrow)
         cache.record("q", self._unknown_outcome(wide), wide)
-        entry = cache.lookup("q", narrow, variants=("standard",))
+        entry = cache.lookup("q", narrow)
         # The covering recording subsumed the narrow one: no pile-up.
-        assert [b.max_steps for b in entry.tried()["standard"]] == [100]
+        assert [b.max_steps for b in entry.budgets] == [100]
 
     def test_merged_unknown_survives_a_disk_round_trip(self, tmp_path):
         path = tmp_path / "cache.jsonl"
-        broad, narrow = Budget(max_steps=100), Budget(max_steps=5)
+        steps = Budget(max_steps=100, max_seconds=10.0)
+        seconds = Budget(max_steps=5, max_seconds=50.0)
         cache = ResultCache(store=JsonLinesStore(path))
-        cache.record("q", self._unknown_outcome(broad), broad, variants=("standard",))
-        cache.record(
-            "q", self._unknown_outcome(narrow), narrow, variants=("semi_naive",)
-        )
+        cache.record("q", self._unknown_outcome(steps), steps)
+        cache.record("q", self._unknown_outcome(seconds), seconds)
         # A fresh process reloads the *merged* knowledge (later lines
-        # win, and the appended line carries the per-variant budgets,
-        # not just the narrow record).
+        # win, and the appended line carries the whole antichain, not
+        # just the last record).
         reloaded = ResultCache(store=JsonLinesStore(path))
-        entry = reloaded.lookup("q", Budget(max_steps=100), variants=("standard",))
+        entry = reloaded.lookup("q", steps)
         assert entry is not None
-        assert set(entry.variants) == {"standard", "semi_naive"}
-        assert [b.max_steps for b in entry.tried()["standard"]] == [100]
-        assert [b.max_steps for b in entry.tried()["semi_naive"]] == [5]
-        # Per-variant honesty survives the reload too.
+        assert set(entry.budgets) == {steps, seconds}
+        assert reloaded.lookup("q", seconds) is not None
+        # Honesty survives the reload too: no chase ran under the join.
         assert (
-            reloaded.lookup(
-                "q", Budget(max_steps=100), variants=("standard", "semi_naive")
-            )
+            reloaded.lookup("q", Budget(max_steps=100, max_seconds=50.0))
             is None
         )
 
@@ -585,12 +458,7 @@ class TestCompaction:
     def _cache_state(self, cache):
         """Everything staleness and serving read, per fingerprint."""
         return {
-            fingerprint: (
-                entry.status,
-                entry.traced,
-                tuple(entry.variants),
-                entry.tried(),
-            )
+            fingerprint: (entry.status, entry.traced, entry.budgets)
             for fingerprint, entry in cache._entries.items()
         }
 
@@ -710,3 +578,170 @@ class TestCompaction:
         cache.record("a", proved, Budget())  # touch: a is now MRU
         folded = fold_entries(store.load())
         assert list(folded) == ["b", "a"]
+
+
+class TestPreAntichainCacheFiles:
+    """Cache files written while entries still kept per-variant budgets
+    (``"variants"`` / ``"variant_budgets"``) load, serve and compact."""
+
+    @pytest.fixture
+    def legacy_file(self, tmp_path, transitivity, provable_target, refutable_target):
+        from repro.io.json_codec import (
+            budget_to_json,
+            encode_checkpoint,
+            outcome_to_json,
+            slim_unknown_outcome,
+        )
+
+        def budget(steps):
+            return budget_to_json(Budget(max_steps=steps))
+
+        starved = Budget(max_steps=2)
+        unknown = implies(
+            [transitivity], provable_target, budget=starved, checkpoint=True
+        )
+        assert unknown.status is InferenceStatus.UNKNOWN
+        checkpoint = encode_checkpoint(unknown)
+        assert checkpoint is not None
+        unknown_payload = slim_unknown_outcome(outcome_to_json(unknown))
+        disproved = implies([transitivity], refutable_target)
+        lines = [
+            {
+                "fingerprint": "decisive",
+                "status": "disproved",
+                "budget": budget(None),
+                "traced": True,
+                "variants": ["standard"],
+                "outcome": outcome_to_json(disproved),
+            },
+            {
+                "fingerprint": "one-variant",
+                "status": "unknown",
+                "budget": budget(2),
+                "traced": True,
+                "variants": ["standard"],
+                "outcome": unknown_payload,
+                "variant_budgets": {"standard": [budget(2)]},
+                "checkpoint": checkpoint,
+            },
+            {
+                "fingerprint": "two-variant",
+                "status": "unknown",
+                "budget": budget(50),
+                "traced": True,
+                "variants": ["standard", "semi_naive"],
+                "outcome": unknown_payload,
+                "variant_budgets": {
+                    "standard": [budget(2)],
+                    "semi_naive": [budget(50)],
+                },
+                "checkpoint": checkpoint,
+            },
+            {
+                "fingerprint": "semi-naive-only",
+                "status": "unknown",
+                "budget": budget(50),
+                "traced": True,
+                "variants": ["semi_naive"],
+                "outcome": unknown_payload,
+                "variant_budgets": {"semi_naive": [budget(50)]},
+                "checkpoint": checkpoint,
+            },
+        ]
+        path = tmp_path / "cache.jsonl"
+        path.write_text(
+            "".join(json.dumps(line) + "\n" for line in lines), encoding="utf-8"
+        )
+        return path, disproved
+
+    def test_old_lines_load_without_tearing(self, legacy_file):
+        from repro.obs.metrics import MetricsRegistry
+
+        path, __ = legacy_file
+        registry = MetricsRegistry()
+        cache = ResultCache(store=JsonLinesStore(path)).bind_metrics(registry)
+        assert len(cache) == 4
+        assert "repro_cache_torn_lines_total 0" in registry.render_prometheus()
+
+    def test_decisive_lines_hit_unchanged(self, legacy_file):
+        path, disproved = legacy_file
+        cache = ResultCache(store=JsonLinesStore(path))
+        entry = cache.lookup("decisive", Budget(max_steps=1))
+        assert entry is not None
+        assert entry.outcome().status is InferenceStatus.DISPROVED
+        assert entry.outcome().counterexample == disproved.counterexample
+
+    def test_unknowns_keep_only_their_standard_budgets(self, legacy_file):
+        path, __ = legacy_file
+        cache = ResultCache(store=JsonLinesStore(path))
+        for fingerprint in ("one-variant", "two-variant"):
+            assert [b.max_steps for b in cache._entries[fingerprint].budgets] == [2]
+            assert cache.lookup(fingerprint, Budget(max_steps=2)) is not None
+            # The semi_naive arm's 50 steps are not the one chase's work.
+            assert cache.lookup(fingerprint, Budget(max_steps=50)) is None
+
+    def test_unknown_without_a_standard_arm_is_stale_but_resumable(
+        self, legacy_file
+    ):
+        path, __ = legacy_file
+        cache = ResultCache(store=JsonLinesStore(path))
+        assert cache._entries["semi-naive-only"].budgets == ()
+        assert cache.lookup("semi-naive-only", Budget(max_steps=1)) is None
+        assert cache.checkpoint_for("semi-naive-only") is not None
+
+    def test_service_resumes_a_legacy_checkpoint(
+        self, tmp_path, transitivity, provable_target
+    ):
+        """End to end: a retry over an old-shape UNKNOWN line resumes
+        its stored chase instead of re-chasing."""
+        from repro.io.json_codec import (
+            budget_to_json,
+            encode_checkpoint,
+            outcome_to_json,
+            slim_unknown_outcome,
+        )
+        from repro.service import InferenceService
+
+        starved = Budget(max_steps=2)
+        unknown = implies(
+            [transitivity], provable_target, budget=starved, checkpoint=True
+        )
+        line = {
+            "fingerprint": _fingerprint([transitivity], provable_target),
+            "status": "unknown",
+            "budget": budget_to_json(starved),
+            "traced": True,
+            "variants": ["standard"],
+            "outcome": slim_unknown_outcome(outcome_to_json(unknown)),
+            "variant_budgets": {"standard": [budget_to_json(starved)]},
+            "checkpoint": encode_checkpoint(unknown),
+        }
+        path = tmp_path / "cache.jsonl"
+        path.write_text(json.dumps(line) + "\n", encoding="utf-8")
+        service = InferenceService(ResultCache(store=JsonLinesStore(path)))
+        again = service.run_batch([transitivity], [provable_target], budget=starved)
+        assert again.stats.cache_hits == 1
+        retry = service.run_batch(
+            [transitivity], [provable_target], budget=Budget(max_steps=500)
+        )
+        assert retry.stats.resumed == 1 and retry.stats.executed == 0
+        assert retry.outcomes[0].status is InferenceStatus.PROVED
+
+    def test_compaction_rewrites_lines_in_the_new_shape(self, legacy_file):
+        path, __ = legacy_file
+        cache = ResultCache(store=JsonLinesStore(path))
+        before = {
+            fingerprint: (entry.status, entry.budgets, entry.checkpoint)
+            for fingerprint, entry in cache._entries.items()
+        }
+        assert cache.close(force_compact=True) is True
+        lines = [json.loads(line) for line in path.read_text().splitlines()]
+        assert len(lines) == 4
+        for line in lines:
+            assert "variants" not in line and "variant_budgets" not in line
+            assert ("budgets" in line) == (line["status"] == "unknown")
+        reloaded = ResultCache(store=JsonLinesStore(path))
+        assert {
+            fingerprint: (entry.status, entry.budgets, entry.checkpoint)
+            for fingerprint, entry in reloaded._entries.items()
+        } == before

@@ -10,8 +10,7 @@ from repro.service import (
     ResultCache,
     WorkerPool,
     divide_budget,
-    run_pool,
-    run_serial,
+    serial_run,
 )
 from repro.dependencies.parser import parse_td
 from repro.workloads.generators import inference_workload
@@ -78,17 +77,75 @@ class TestDedupAndCache:
         assert bigger.stats.executed == 0
         assert bigger.outcomes[0].status is InferenceStatus.PROVED
 
-    def test_unknown_retry_without_checkpoints_re_runs(self):
+    @pytest.mark.parametrize("workers", [0, 1])
+    def test_pooled_retry_resumes_like_serial(self, workers):
+        """The resume runs on the one dispatch path: serially or on the
+        pool, the retry resumes its checkpoint to the same verdict."""
         transitivity = parse_td("R(x, y) & R(y, z) -> R(x, z)")
         target = parse_td("R(a, b) & R(b, c) & R(c, d) & R(d, e) -> R(a, e)")
-        service = InferenceService(checkpoints=False)
-        first = service.run_batch(
-            [transitivity], [target], budget=Budget(max_steps=1)
-        )
-        assert first.outcomes[0].status is InferenceStatus.UNKNOWN
-        bigger = service.run_batch(
-            [transitivity], [target], budget=Budget(max_steps=500)
-        )
+        with InferenceService(workers=workers) as service:
+            first = service.run_batch(
+                [transitivity], [target], budget=Budget(max_steps=1)
+            )
+            assert first.outcomes[0].status is InferenceStatus.UNKNOWN
+            bigger = service.run_batch(
+                [transitivity], [target], budget=Budget(max_steps=500)
+            )
+        assert bigger.stats.resumed == 1
+        assert bigger.stats.executed == 0
+        assert bigger.outcomes[0].status is InferenceStatus.PROVED
+        trace = service.traces.get(bigger.trace_id)
+        assert [row["source"] for row in trace.queries] == ["resume"]
+
+    @pytest.mark.parametrize("workers", [0, 1])
+    def test_resume_counts_only_the_work_past_its_checkpoint(self, workers):
+        transitivity = parse_td("R(x, y) & R(y, z) -> R(x, z)")
+        target = parse_td("R(a, b) & R(b, c) & R(c, d) & R(d, e) -> R(a, e)")
+        with InferenceService(workers=workers) as service:
+            service.run_batch([transitivity], [target], budget=Budget(max_steps=2))
+            steps = service.metrics.get("repro_chase_steps_total")
+            before = steps.value
+            retry = service.run_batch(
+                [transitivity], [target], budget=Budget(max_steps=500)
+            )
+            resumes = service.metrics.get("repro_checkpoint_resumes_total")
+            assert resumes.value == 1
+        cumulative = retry.outcomes[0].chase_result.stats.steps
+        assert steps.value - before == cumulative - 2
+
+    @pytest.mark.parametrize("workers", [0, 1])
+    @pytest.mark.parametrize(
+        "checkpoint",
+        [
+            # Does not decode: an unknown checkpoint version.
+            {"version": -1, "rows": []},
+            # Decodes, but cannot rebuild: no memo for the premise.
+            {"version": 1, "rows": [], "dependencies": [], "evaluated": [[]]},
+        ],
+        ids=["undecodable", "unrebuildable"],
+    )
+    def test_broken_checkpoint_falls_back_to_a_fresh_chase(
+        self, workers, checkpoint
+    ):
+        from repro.chase.implication import implies
+        from repro.io.json_codec import dependency_to_json
+
+        transitivity = parse_td("R(x, y) & R(y, z) -> R(x, z)")
+        target = parse_td("R(a, b) & R(b, c) & R(c, d) & R(d, e) -> R(a, e)")
+        checkpoint = dict(checkpoint, target=dependency_to_json(target))
+        starved = Budget(max_steps=1)
+        with InferenceService(workers=workers) as service:
+            fingerprint = service.submit([transitivity], target)
+            service.discard_pending()
+            service.cache.record(
+                fingerprint,
+                implies([transitivity], target, budget=starved),
+                starved,
+                checkpoint=checkpoint,
+            )
+            bigger = service.run_batch(
+                [transitivity], [target], budget=Budget(max_steps=500)
+            )
         assert bigger.stats.resumed == 0
         assert bigger.stats.executed == 1
         assert bigger.outcomes[0].status is InferenceStatus.PROVED
@@ -228,16 +285,13 @@ class TestPremiseMemo:
 
 
 class TestScheduler:
-    def test_run_serial_decides(self):
+    def test_serial_run_decides(self):
         transitivity = parse_td("R(x, y) & R(y, z) -> R(x, z)")
         target = parse_td("R(a, b) & R(b, c) -> R(a, c)")
         task = QueryTask(slot=0, dependencies=(transitivity,), target=target)
-        results = run_serial([task], Budget(max_steps=500))
-        assert results[0].status is InferenceStatus.PROVED
-
-    def test_run_pool_rejects_zero_workers(self):
-        with pytest.raises(ValueError):
-            run_pool([], Budget(), 0)
+        run = serial_run([task], Budget(max_steps=500))
+        assert run.outcomes[0].status is InferenceStatus.PROVED
+        assert run.resumed == set()
 
     def test_divide_budget(self):
         shared = Budget(max_steps=100, max_rows=10, max_seconds=8.0)
