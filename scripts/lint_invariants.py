@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Repo-invariant lints the generic linters cannot express.
 
-Four checks, run in CI after the unit suite:
+Five checks, run in CI after the unit suite:
 
 1. **Metric table agreement** — every metric family registered by a
    module under ``src/repro`` (any ``<registry>.counter/gauge/histogram
@@ -32,6 +32,15 @@ Four checks, run in CI after the unit suite:
    has since moved). Templated names (``bench_<x>.py``, globs) are
    skipped.
 
+5. **One memo idiom** — no module under ``src/repro`` memoizes through
+   ``functools.lru_cache`` / ``functools.cache`` or a hand-rolled
+   ``OrderedDict`` LRU (an evicting ``popitem(last=False)``). Every
+   process-wide memo goes through :func:`repro.kernel.joins.memoized`,
+   so the eviction policy cannot drift between them. The allowlisted
+   classes are bounded *stores*, not memos: what they hold (verdicts
+   recorded under a budget, registered models, run traces) is not a
+   pure function of the key.
+
 Exit codes: 0 clean, 1 violations (printed one per line), 2 a lint
 input file is missing. Run from anywhere::
 
@@ -44,6 +53,7 @@ import ast
 import re
 import sys
 from pathlib import Path
+from typing import Optional
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 SRC_ROOT = REPO_ROOT / "src" / "repro"
@@ -68,6 +78,17 @@ PRIVATE_STORAGE = {"_rows", "_index"}
 STORAGE_ALLOWLIST = {
     SRC_ROOT / "relational" / "instance.py",
     SRC_ROOT / "kernel" / "state.py",
+}
+
+#: functools' memo decorators.
+FUNCTOOLS_MEMOS = {"lru_cache", "cache"}
+
+#: (module, class) pairs whose OrderedDict eviction is a store's recency
+#: policy rather than a memo's.
+LRU_STORE_ALLOWLIST = {
+    (SRC_ROOT / "service" / "cache.py", "ResultCache"),
+    (SRC_ROOT / "service" / "api.py", "ModelStore"),
+    (SRC_ROOT / "obs" / "trace.py", "TraceBuffer"),
 }
 
 
@@ -203,6 +224,53 @@ def check_named_paths_exist() -> list[str]:
     return problems
 
 
+def memo_idioms(path: Path) -> list[tuple[str, Optional[str], int]]:
+    """(idiom, enclosing top-level class, line) for every functools memo
+    and every ``popitem(last=False)`` eviction."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+    for top in tree.body:
+        owner = top.name if isinstance(top, ast.ClassDef) else None
+        for node in ast.walk(top):
+            if isinstance(node, ast.ImportFrom) and node.module == "functools":
+                for alias in node.names:
+                    if alias.name in FUNCTOOLS_MEMOS:
+                        found.append((f"functools.{alias.name}", owner, node.lineno))
+            elif (
+                isinstance(node, ast.Attribute)
+                and node.attr in FUNCTOOLS_MEMOS
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "functools"
+            ):
+                found.append((f"functools.{node.attr}", owner, node.lineno))
+            elif (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "popitem"
+                and any(
+                    keyword.arg == "last"
+                    and isinstance(keyword.value, ast.Constant)
+                    and keyword.value.value is False
+                    for keyword in node.keywords
+                )
+            ):
+                found.append(("an OrderedDict LRU", owner, node.lineno))
+    return found
+
+
+def check_one_memo_idiom() -> list[str]:
+    problems = []
+    for path in sorted(SRC_ROOT.rglob("*.py")):
+        for idiom, owner, lineno in memo_idioms(path):
+            if idiom == "an OrderedDict LRU" and (path, owner) in LRU_STORE_ALLOWLIST:
+                continue
+            problems.append(
+                f"{path.relative_to(REPO_ROOT)}:{lineno}: memoizes through "
+                f"{idiom} — use repro.kernel.joins.memoized"
+            )
+    return problems
+
+
 def main() -> int:
     missing = [path for path in (SRC_ROOT, README) if not path.exists()]
     if missing:
@@ -215,6 +283,7 @@ def main() -> int:
         + check_instance_encapsulation()
         + check_oracle_is_test_only()
         + check_named_paths_exist()
+        + check_one_memo_idiom()
     )
     if problems:
         for problem in problems:
@@ -223,7 +292,8 @@ def main() -> int:
         return 1
     print(
         "invariants ok: metric table matches registrations, Instance "
-        "storage sealed, no src module imports tests, named paths exist"
+        "storage sealed, no src module imports tests, named paths exist, "
+        "one memo idiom"
     )
     return 0
 

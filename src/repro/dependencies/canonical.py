@@ -30,23 +30,34 @@ least leaf shape. Colours are ranks of sorted signatures, so nothing in
 the search sees variable names or the caller's atom order, and the
 search is exact whenever it visits the whole tree.
 
-Hashing sits on the batch service's hot path, so a node budget caps the
-tree of a highly symmetric dependency: once it is spent the search
-follows one branch to a leaf. That leaf can depend on the input's
-variable order, so the degraded case can split one cache key in two. It
-never conflates distinct dependencies: every leaf shape is a relabelled
-copy of the input, so equal shapes imply isomorphic dependencies.
+Hashing sits on the batch service's hot path, and the same dependencies
+come back renamed batch after batch. The search sees only variable
+numbers, so its result is a function of the input's atoms with variables
+numbered by first occurrence; the labelling is memoized on exactly that,
+packed into bytes, through :func:`~repro.kernel.joins.memoized`
+(``_SHAPE_CACHE_MAX`` shapes). A renamed copy skips the search; keys and
+fingerprints are the same as without the memo. :func:`query_fingerprint`
+likewise serializes the premise half of its digest once per premise key.
+
+A node budget caps the tree of a highly symmetric dependency: once it is
+spent the search follows one branch to a leaf. That leaf can depend on
+the input's variable order, so the degraded case can split one cache key
+in two. It never conflates distinct dependencies: every leaf shape is a
+relabelled copy of the input, so equal shapes imply isomorphic
+dependencies.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+from array import array
 from typing import Iterable, Optional, Sequence
 
 from repro.dependencies.classify import Dependency
 from repro.dependencies.eid import EmbeddedImplicationalDependency
 from repro.dependencies.template import Atom, TemplateDependency, Variable
+from repro.kernel.joins import memoized
 
 #: One antecedent/conclusion block of a shape: atoms over variable numbers.
 ShapeBlock = tuple[tuple[int, ...], ...]
@@ -64,17 +75,46 @@ Shape = tuple[ShapeBlock, ShapeBlock]
 _NODE_BUDGET = 2_000
 
 
+#: Labelled shapes, keyed by the input's structure with variables numbered
+#: by first occurrence (see :func:`_least_shape`): a renamed copy of a
+#: dependency seen before skips the search.
+_SHAPE_CACHE: dict[bytes, Shape] = {}
+_SHAPE_CACHE_MAX = 4096
+
+#: Interned shape atoms. Memoized shapes repeat a few distinct atoms
+#: such as ``(0, 1)``; sharing them halves a full shape memo (2.9 to
+#: 1.4 MB under tracemalloc on ``inference_workload`` targets).
+_ATOM_CACHE: dict[tuple[int, ...], tuple[int, ...]] = {}
+_ATOM_CACHE_MAX = 4096
+
+
 def _least_shape(antecedents: Sequence[Atom], conclusions: Sequence[Atom]) -> Shape:
-    """The least leaf shape of the individualization-refinement tree."""
-    numbers: dict[Variable, int] = {}
-    atoms: list[tuple[int, tuple[int, ...]]] = [
-        (block, tuple([numbers.setdefault(variable, len(numbers)) for variable in atom]))
-        for block, source in enumerate((antecedents, conclusions))
-        for atom in source
-    ]
-    size = len(numbers)
+    """The least leaf shape of the individualization-refinement tree.
+
+    The search sees only variable numbers, so it runs on, and is memoized
+    by, the structure key: the antecedent count, the arity, then every
+    atom's variable numbers (first occurrence, input order), packed as
+    integers. Every atom has the schema's arity, so the key is injective;
+    it holds no ``Variable``.
+    """
+    numbers: dict[str, int] = {}
+    flat = [len(antecedents), len((antecedents or conclusions)[0])]
+    for source in (antecedents, conclusions):
+        for atom in source:
+            flat.extend([numbers.setdefault(variable.name, len(numbers)) for variable in atom])
+    return memoized(_SHAPE_CACHE, array("I", flat).tobytes(), _search, _SHAPE_CACHE_MAX)
+
+
+def _search(key: bytes) -> Shape:
+    """Individualization-refinement over the atoms of a structure key."""
+    flat = array("I")
+    flat.frombytes(key)
+    antecedents, arity = flat[0], flat[1]
+    atoms = [tuple(flat[start : start + arity]) for start in range(2, len(flat), arity)]
+    size = 1 + max(flat[2:])
     occurrences: list[list[tuple[int, int, int]]] = [[] for __ in range(size)]
-    for index, (block, atom) in enumerate(atoms):
+    for index, atom in enumerate(atoms):
+        block = 0 if index < antecedents else 1
         for column, number in enumerate(atom):
             occurrences[number].append((block, column, index))
 
@@ -84,14 +124,19 @@ def _least_shape(antecedents: Sequence[Atom], conclusions: Sequence[Atom]) -> Sh
         A variable's signature is its colour plus the sorted multiset of
         ``(block, column, atom colour tuple)`` over its occurrences. New
         colours are the ranks of the sorted signatures, so they depend
-        only on structure, never on variable names or atom order.
+        only on structure, never on variable names or atom order. A
+        variable alone in its class keeps an empty multiset: its colour
+        already ranks it, so its signature need not be built.
         """
         classes = len(set(colour))
-        while True:
-            tuples = [tuple([colour[number] for number in atom]) for __, atom in atoms]
+        while classes < size:
+            tuples = [tuple([colour[number] for number in atom]) for atom in atoms]
+            shared: dict[int, bool] = {}
+            for value in colour:
+                shared[value] = value in shared
             signatures = [
                 (
-                    colour[number],
+                    value,
                     tuple(
                         sorted(
                             [
@@ -99,24 +144,31 @@ def _least_shape(antecedents: Sequence[Atom], conclusions: Sequence[Atom]) -> Sh
                                 for block, column, index in occurrences[number]
                             ]
                         )
-                    ),
+                    )
+                    if shared[value]
+                    else (),
                 )
-                for number in range(size)
+                for number, value in enumerate(colour)
             ]
-            rank = {
-                signature: position
-                for position, signature in enumerate(sorted(set(signatures)))
-            }
-            colour = [rank[signature] for signature in signatures]
-            if len(rank) == classes or len(rank) == size:
-                return colour
-            classes = len(rank)
+            # Rank by comparison, not hashing: nested tuples cache no hash.
+            colour = [0] * size
+            rank = -1
+            previous = None
+            for number in sorted(range(size), key=signatures.__getitem__):
+                if signatures[number] != previous:
+                    previous = signatures[number]
+                    rank += 1
+                colour[number] = rank
+            if rank + 1 == classes:
+                break
+            classes = rank + 1
+        return colour
 
     def leaf_shape(colour: list[int]) -> Shape:
         """Each block sorted by colour tuple, renumbered by first occurrence."""
         blocks: tuple[list[tuple[int, ...]], list[tuple[int, ...]]] = ([], [])
-        for block, atom in atoms:
-            blocks[block].append(tuple([colour[number] for number in atom]))
+        for index, atom in enumerate(atoms):
+            blocks[index >= antecedents].append(tuple([colour[number] for number in atom]))
         renumber: dict[int, int] = {}
         antecedent_block, conclusion_block = [
             tuple(
@@ -129,29 +181,35 @@ def _least_shape(antecedents: Sequence[Atom], conclusions: Sequence[Atom]) -> Sh
         ]
         return antecedent_block, conclusion_block
 
+    # The first refinement round from the uniform colouring ranks each
+    # variable by its (block, column) occurrence profile alone.
+    profiles = [
+        tuple(sorted([(block, column) for block, column, __ in occurs]))
+        for occurs in occurrences
+    ]
+    ranks = {profile: position for position, profile in enumerate(sorted(set(profiles)))}
     best: Optional[Shape] = None
     budget = _NODE_BUDGET
     # Depth-first over the search tree. A spent budget ends the search at
     # the first leaf; until one is found, each node follows one branch.
-    pending = [[0] * size]
+    pending = [[ranks[profile] for profile in profiles]]
     while pending:
         if budget <= 0 and best is not None:
             break
         budget -= 1
         colour = refine(pending.pop())
-        cells: dict[int, list[int]] = {}
-        for number, value in enumerate(colour):
-            cells.setdefault(value, []).append(number)
-        split = min(
-            ((len(members), value) for value, members in cells.items() if len(members) > 1),
-            default=None,
-        )
-        if split is None:
+        if len(set(colour)) == size:
             shape = leaf_shape(colour)
             if best is None or shape < best:
                 best = shape
             continue
-        members = cells[split[1]]
+        cells: dict[int, list[int]] = {}
+        for number, value in enumerate(colour):
+            cells.setdefault(value, []).append(number)
+        __, target = min(
+            (len(members), value) for value, members in cells.items() if len(members) > 1
+        )
+        members = cells[target]
         if budget <= 0:
             members = members[:1]
         # Individualize each member of the target cell: it gets a fresh
@@ -162,7 +220,11 @@ def _least_shape(antecedents: Sequence[Atom], conclusions: Sequence[Atom]) -> Sh
             child[number] -= 1
             pending.append(child)
     assert best is not None
-    return best
+    antecedent_block, conclusion_block = [
+        tuple([memoized(_ATOM_CACHE, atom, lambda same: same, _ATOM_CACHE_MAX) for atom in block])
+        for block in best
+    ]
+    return antecedent_block, conclusion_block
 
 
 def canonical_shape(dependency: Dependency) -> Shape:
@@ -210,15 +272,14 @@ def canonicalize(dependency: Dependency) -> Dependency:
     )
 
 
-def _digest(key: tuple) -> str:
-    """SHA-256 of a canonical key (tuples serialize as JSON arrays)."""
-    payload = json.dumps(key, separators=(",", ":"))
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+def _json(key: tuple) -> bytes:
+    """A canonical key as compact JSON (tuples serialize as arrays)."""
+    return json.dumps(key, separators=(",", ":")).encode("utf-8")
 
 
 def dependency_fingerprint(dependency: Dependency) -> str:
     """A stable content hash of one dependency's canonical key."""
-    return _digest(canonical_key(dependency))
+    return hashlib.sha256(_json(canonical_key(dependency))).hexdigest()
 
 
 def premise_key(dependencies: Iterable[Dependency]) -> tuple:
@@ -226,7 +287,7 @@ def premise_key(dependencies: Iterable[Dependency]) -> tuple:
 
     Batch callers answering many targets against one premise set should
     compute this once and pass it to :func:`query_fingerprint` via
-    ``premises`` — canonical labeling is the expensive part of hashing.
+    ``premises``, rather than rebuild it for every target.
     """
     return tuple(sorted({canonical_key(dependency) for dependency in dependencies}))
 
@@ -249,11 +310,26 @@ def query_key(
     return (premises, canonical_key(target))
 
 
+#: The premise half of a query digest's JSON, ``[<premise key>,``, per
+#: premise key: a batch serializes its premise set once, not per target.
+_PREFIX_CACHE: dict[tuple, bytes] = {}
+_PREFIX_CACHE_MAX = 128
+
+
 def query_fingerprint(
     dependencies: Iterable[Dependency],
     target: Dependency,
     *,
     premises: Optional[tuple] = None,
 ) -> str:
-    """A stable content hash for a whole ``D ⊨ d`` query."""
-    return _digest(query_key(dependencies, target, premises=premises))
+    """A stable content hash for a whole ``D ⊨ d`` query.
+
+    The SHA-256 of :func:`query_key`'s JSON, built as the memoized
+    premise prefix plus the target's key, byte for byte the same.
+    """
+    if premises is None:
+        premises = premise_key(dependencies)
+    prefix = memoized(
+        _PREFIX_CACHE, premises, lambda key: b"[" + _json(key) + b",", _PREFIX_CACHE_MAX
+    )
+    return hashlib.sha256(prefix + _json(canonical_key(target)) + b"]").hexdigest()

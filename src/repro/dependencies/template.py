@@ -56,6 +56,11 @@ class Variable:
     def __hash__(self) -> int:
         return self._hash
 
+    def __reduce__(self) -> tuple:
+        # Rebuild from the name: the cached string hash is only valid
+        # under the hash seed of the process that computed it.
+        return (Variable, (self.name,))
+
     def __repr__(self) -> str:
         return f"Variable({self.name!r})"
 

@@ -198,8 +198,10 @@ def memoized(
     program caches in :mod:`repro.chase.plan`, the check cache in
     :mod:`repro.chase.checkplan`, the homomorphism-plan cache in
     :mod:`repro.relational.homplan`, the native step-packing cache
-    below), so the eviction policy cannot drift between them. ``build``
-    receives ``key`` on a miss.
+    below, the canonical-shape memo in
+    :mod:`repro.dependencies.canonical`), so the eviction policy cannot
+    drift between them; ``scripts/lint_invariants.py`` rejects any
+    other. ``build`` receives ``key`` on a miss.
     """
     value = cache.get(key)
     if value is None:

@@ -203,28 +203,6 @@ class InferenceService:
         self.cache.bind_metrics(self.metrics)
         self._pending: list[_Pending] = []
         self._worker_pool: Optional[WorkerPool] = None
-        # Premise sets repeat across a batch (run_batch shares one for
-        # every target); memoize their canonical keys so hashing is
-        # O(premises + targets), not O(premises x targets). Bounded LRU:
-        # long-lived callers (the HTTP server) see many distinct premise
-        # sets over their lifetime.
-        self._premise_keys: "OrderedDict[tuple[Dependency, ...], tuple]" = (
-            OrderedDict()
-        )
-
-    #: How many distinct premise tuples the canonical-key memo retains.
-    PREMISE_MEMO_SIZE = 128
-
-    def _premise_key(self, dependencies: tuple[Dependency, ...]) -> tuple:
-        key = self._premise_keys.get(dependencies)
-        if key is not None:
-            self._premise_keys.move_to_end(dependencies)
-            return key
-        key = premise_key(dependencies)
-        self._premise_keys[dependencies] = key
-        while len(self._premise_keys) > self.PREMISE_MEMO_SIZE:
-            self._premise_keys.popitem(last=False)
-        return key
 
     def pool(self) -> Optional[WorkerPool]:
         """The persistent worker pool (created on first use; None when
@@ -296,15 +274,22 @@ class InferenceService:
         runs, ``self.traces.get(trace_id)`` returns this query's view of
         the run. Untagged queries land under the report's run-level ID.
         """
-        shared = tuple(dependencies)
+        return self._enqueue(tuple(dependencies), target, None, trace_id)
+
+    def _enqueue(
+        self,
+        shared: tuple[Dependency, ...],
+        target: Dependency,
+        premises: Optional[tuple],
+        trace_id: Optional[str],
+    ) -> str:
+        """Hash one query and queue it; ``premises`` is ``shared``'s
+        :func:`~repro.dependencies.canonical.premise_key` when the caller
+        already has it."""
         canon_started = time.perf_counter()
-        fingerprint = query_fingerprint(
-            shared, target, premises=self._premise_key(shared)
-        )
+        fingerprint = query_fingerprint(shared, target, premises=premises)
         canon_seconds = time.perf_counter() - canon_started
-        self._instruments.stage_seconds.labels(stage="canonicalize").observe(
-            canon_seconds
-        )
+        self._instruments.stage["canonicalize"].observe(canon_seconds)
         self._pending.append(
             _Pending(
                 index=len(self._pending),
@@ -333,7 +318,7 @@ class InferenceService:
         start, frozen = outcome.target.freeze()
         final = replay(start, outcome.chase_result.steps, verify=True)
         satisfied = conclusion_satisfied(final, outcome.target, frozen)
-        self._instruments.stage_seconds.labels(stage="verify").observe(
+        self._instruments.stage["verify"].observe(
             time.perf_counter() - verify_started
         )
         self._instruments.proof_verifications.inc()
@@ -429,7 +414,7 @@ class InferenceService:
             if self.share_budget and pending
             else budget
         )
-        lookup_stage = instruments.stage_seconds.labels(stage="cache_lookup")
+        lookup_stage = instruments.stage["cache_lookup"]
         groups: dict[str, list[_Pending]] = {}
         for query in pending:
             lookup_started = time.perf_counter()
@@ -485,7 +470,7 @@ class InferenceService:
             representatives.append((fingerprint, members))
             instruments.dedup_group_size.observe(len(members))
         dedup_seconds = watch.split()
-        instruments.stage_seconds.labels(stage="dedup").observe(dedup_seconds)
+        instruments.stage["dedup"].observe(dedup_seconds)
         if groups:
             spans.append(
                 Span(
@@ -553,7 +538,7 @@ class InferenceService:
                 Span("verify", watch.split(), {"proofs_verified": verified})
             )
 
-        record_stage = instruments.stage_seconds.labels(stage="record")
+        record_stage = instruments.stage["record"]
         record_seconds = 0.0
         for slot, (fingerprint, members) in enumerate(representatives):
             outcome = outcomes[slot]
@@ -662,8 +647,9 @@ class InferenceService:
         agree query-for-query.
         """
         shared = tuple(dependencies)
+        premises = premise_key(shared)
         for target in targets:
-            self.submit(shared, target)
+            self._enqueue(shared, target, premises, None)
         return self.run(budget)
 
 

@@ -154,7 +154,7 @@ class PoolRun:
             return
         if resumed_from is not None:
             instruments.checkpoint_resumes.inc()
-        instruments.stage_seconds.labels(stage="chase").observe(seconds)
+        instruments.stage["chase"].observe(seconds)
         instruments.chase_run_seconds.labels(
             verdict=outcome.status.value
         ).observe(seconds)
@@ -577,9 +577,7 @@ class WorkerPool:
                 now = time.perf_counter()
                 in_flight[future] = (payload, now)
                 if instruments is not None:
-                    instruments.stage_seconds.labels(
-                        stage="queue_wait"
-                    ).observe(now - started)
+                    instruments.stage["queue_wait"].observe(now - started)
 
         refill()
         while in_flight or failure is not None:

@@ -1,5 +1,6 @@
 """Tests for repro.dependencies.canonical."""
 
+import hashlib
 import random
 from collections import Counter
 
@@ -16,8 +17,10 @@ from repro.dependencies.canonical import (
 from repro.dependencies.eid import EmbeddedImplicationalDependency
 from repro.dependencies.parser import parse_dependency, parse_td
 from repro.dependencies.template import TemplateDependency, Variable
+from repro.reduction.encode import encode
 from repro.relational.schema import Schema
-from repro.workloads.generators import disguise, random_td
+from repro.workloads.generators import disguise, inference_workload, random_td
+from repro.workloads.instances import negative_family, positive_chain_family
 
 EDGE = Schema(["FROM", "TO"])
 
@@ -388,8 +391,25 @@ class TestBeyondColourRefinement:
         assert len(keys) == 1
 
 
+@pytest.fixture
+def fresh_shape_memo(monkeypatch):
+    """An empty shape memo for the test; the process-wide one is restored after."""
+    memo: dict = {}
+    monkeypatch.setattr(canonical, "_SHAPE_CACHE", memo)
+    return memo
+
+
 class TestNodeBudget:
-    """A spent budget may split a key class but never conflate two."""
+    """A spent budget may split a key class but never conflate two.
+
+    Every test runs on a fresh shape memo: a shape labelled under the full
+    budget would otherwise mask the degraded path, and a degraded one
+    would outlive the patched budget.
+    """
+
+    @pytest.fixture(autouse=True)
+    def _fresh_memo(self, fresh_shape_memo):
+        return fresh_shape_memo
 
     SYMMETRIC = [
         clique(5),
@@ -410,3 +430,94 @@ class TestNodeBudget:
     def test_degraded_keys_still_separate_refinement_twins(self, monkeypatch, left, right):
         monkeypatch.setattr(canonical, "_NODE_BUDGET", 1)
         assert canonical_key(symmetric_td(left)) != canonical_key(symmetric_td(right))
+
+
+def memo_corpus() -> list:
+    """Workload targets, disguised random TDs and the reduction's encodings."""
+    corpus = []
+    for seed in range(3):
+        dependencies, targets = inference_workload(queries=48, seed=seed)
+        corpus += dependencies + targets
+    tds = [
+        random_td(seed=seed, arity=2 + seed % 2, antecedents=2 + seed % 3) for seed in range(20)
+    ]
+    corpus += tds + [disguise(td, seed=300 + index) for index, td in enumerate(tds)]
+    encodings = [encode(positive_chain_family(k)) for k in (1, 2)] + [encode(negative_family(1))]
+    for encoding in encodings:
+        corpus += list(encoding.dependencies) + [encoding.d0]
+    return corpus
+
+
+def renamed(dependency, tag: str):
+    """``dependency`` with every variable renamed, atom order kept."""
+    return dependency.rename(
+        {variable: Variable(f"{variable.name}_{tag}") for variable in dependency.variables()}
+    )
+
+
+class TestShapeMemo:
+    def test_warm_keys_match_cold_keys(self, fresh_shape_memo):
+        corpus = memo_corpus()
+        cold = []
+        for dependency in corpus:
+            fresh_shape_memo.clear()
+            cold.append(canonical_key(dependency))
+        fresh_shape_memo.clear()
+        for __ in range(2):
+            assert [canonical_key(dependency) for dependency in corpus] == cold
+
+    def test_renamed_copy_hits_without_searching(self, fresh_shape_memo, monkeypatch):
+        corpus = [
+            dependency
+            for dependency in memo_corpus()
+            if isinstance(dependency, TemplateDependency)
+        ]
+        keys = [canonical_key(dependency) for dependency in corpus]
+        size = len(fresh_shape_memo)
+
+        def no_search(*__):
+            raise AssertionError("a renamed copy must be served from the memo")
+
+        monkeypatch.setattr(canonical, "_search", no_search)
+        assert [canonical_key(renamed(dependency, "r")) for dependency in corpus] == keys
+        assert len(fresh_shape_memo) == size
+
+    def test_memo_never_exceeds_its_bound(self, fresh_shape_memo, monkeypatch):
+        monkeypatch.setattr(canonical, "_SHAPE_CACHE_MAX", 16)
+        tds = [random_td(seed=seed, antecedents=2 + seed % 4) for seed in range(80)]
+        keys = []
+        for td in tds:
+            keys.append(canonical_key(td))
+            assert len(fresh_shape_memo) <= 16
+        # Evicted shapes are relabelled to the same key.
+        assert [canonical_key(td) for td in tds] == keys
+
+    def test_memo_holds_no_variables(self, fresh_shape_memo):
+        for dependency in memo_corpus():
+            canonical_key(dependency)
+        assert fresh_shape_memo
+        assert all(type(key) is bytes for key in fresh_shape_memo)
+
+
+#: SHA-256 of the fingerprint corpus below, concatenated in order. Pinned
+#: so that a change to canonical labelling, key layout or digest encoding
+#: cannot silently orphan every verdict in an existing disk cache.
+GOLDEN_CORPUS_DIGEST = "bcbf9d804c5bebab10b8733e9f160d17f5693158b718ea3f45bf618ef8441f05"
+
+
+class TestGoldenFingerprints:
+    def test_fingerprint_corpus_digest_is_pinned(self):
+        fingerprints = []
+        for seed in range(30):
+            dependencies, targets = inference_workload(
+                queries=96, duplicate_fraction=0.35, seed=seed
+            )
+            fingerprints += [query_fingerprint(dependencies, target) for target in targets]
+        encodings = [encode(positive_chain_family(k)) for k in range(1, 4)]
+        encodings += [encode(negative_family(k)) for k in range(4)]
+        fingerprints += [
+            query_fingerprint(encoding.dependencies, encoding.d0) for encoding in encodings
+        ]
+        assert len(fingerprints) == 2887
+        digest = hashlib.sha256("".join(fingerprints).encode()).hexdigest()
+        assert digest == GOLDEN_CORPUS_DIGEST

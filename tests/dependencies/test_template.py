@@ -1,6 +1,13 @@
 """Unit tests for repro.dependencies.template."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
+
+import repro
 
 from repro.dependencies.template import TemplateDependency, Variable, is_variable
 from repro.errors import ArityError, DependencyError, TypingError
@@ -35,6 +42,36 @@ class TestVariable:
         assert is_variable(Variable("x"))
         assert not is_variable("x")
         assert not is_variable(Const("x"))
+
+    def test_unpickled_variable_hashes_under_the_loading_hash_seed(self):
+        # Pool workers unpickle variables in processes with their own
+        # string-hash seed: the hash must be recomputed, not carried over.
+        def run(seed: str, code: str, stdin: bytes = b"") -> bytes:
+            env = dict(os.environ, PYTHONHASHSEED=seed)
+            env["PYTHONPATH"] = str(Path(repro.__file__).resolve().parents[1])
+            return subprocess.run(
+                [sys.executable, "-c", code],
+                input=stdin,
+                env=env,
+                capture_output=True,
+                check=True,
+            ).stdout
+
+        pickled = run(
+            "1",
+            "import pickle, sys\n"
+            "from repro.dependencies.template import Variable\n"
+            "sys.stdout.buffer.write(pickle.dumps(Variable('x')))",
+        )
+        loaded = run(
+            "2",
+            "import pickle, sys\n"
+            "from repro.dependencies.template import Variable\n"
+            "v = pickle.loads(sys.stdin.buffer.read())\n"
+            "print(v == Variable('x'), v in {Variable('x')})",
+            stdin=pickled,
+        )
+        assert loaded.split() == [b"True", b"True"]
 
 
 class TestConstruction:

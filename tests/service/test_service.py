@@ -12,6 +12,7 @@ from repro.service import (
     divide_budget,
     serial_run,
 )
+from repro.dependencies import canonical
 from repro.dependencies.parser import parse_td
 from repro.workloads.generators import inference_workload
 
@@ -267,21 +268,23 @@ class TestWorkerPoolLifecycle:
         assert InferenceService().pool() is None
 
 
-class TestPremiseMemo:
-    def test_memo_evicts_oldest_first_not_wholesale(self):
+class TestShapeMemo:
+    def test_submissions_keep_the_shape_memo_bounded(self, monkeypatch):
+        monkeypatch.setattr(canonical, "_SHAPE_CACHE", {})
+        monkeypatch.setattr(canonical, "_SHAPE_CACHE_MAX", 32)
         service = InferenceService()
         target = parse_td("R(a, b) -> R(b, a)")
         hot = (parse_td("R(x, y) & R(y, z) -> R(x, z)"),)
-        service.submit(hot, target)
-        # Flood the memo past its bound with distinct premise tuples,
-        # re-touching the hot tuple along the way so LRU keeps it.
-        for index in range(service.PREMISE_MEMO_SIZE + 10):
-            filler = (parse_td(f"R(x, y) & R(y, v{index}) -> R(x, v{index})"),)
+        first = service.submit(hot, target)
+        # Flood the memo past its bound with distinct premise shapes,
+        # re-submitting the hot premise set along the way.
+        for index in range(40):
+            chain = " & ".join(f"R(v{i}, v{i + 1})" for i in range(index + 2))
+            filler = (parse_td(f"{chain} -> R(v0, v{index + 2})"),)
             service.submit(filler, target)
-            service.submit(hot, target)
-        assert len(service._premise_keys) <= service.PREMISE_MEMO_SIZE
-        assert hot in service._premise_keys
-        service._pending.clear()
+            assert service.submit(hot, target) == first
+            assert len(canonical._SHAPE_CACHE) <= 32
+        service.discard_pending()
 
 
 class TestScheduler:
