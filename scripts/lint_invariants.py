@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Repo-invariant lints the generic linters cannot express.
 
-Five checks, run in CI after the unit suite:
+Six checks, run in CI after the unit suite:
 
 1. **Metric table agreement** — every metric family registered by a
    module under ``src/repro`` (any ``<registry>.counter/gauge/histogram
@@ -40,6 +40,12 @@ Five checks, run in CI after the unit suite:
    classes are bounded *stores*, not memos: what they hold (verdicts
    recorded under a budget, registered models, run traces) is not a
    pure function of the key.
+
+6. **One chase-result builder** — no module under ``src/repro``
+   constructs a ``ChaseResult`` except ``chase/plan.py``, where
+   ``ChaseSession.run`` (the one chase loop) builds it, and
+   ``io/json_codec.py``, the wire decoder. A second builder is a second
+   chase driver or a per-caller ``finish`` callback growing back.
 
 Exit codes: 0 clean, 1 violations (printed one per line), 2 a lint
 input file is missing. Run from anywhere::
@@ -89,6 +95,13 @@ LRU_STORE_ALLOWLIST = {
     (SRC_ROOT / "service" / "cache.py", "ResultCache"),
     (SRC_ROOT / "service" / "api.py", "ModelStore"),
     (SRC_ROOT / "obs" / "trace.py", "TraceBuffer"),
+}
+
+#: The modules allowed to construct a ChaseResult: the chase loop's
+#: own module and the wire decoder.
+CHASE_RESULT_BUILDERS = {
+    SRC_ROOT / "chase" / "plan.py",
+    SRC_ROOT / "io" / "json_codec.py",
 }
 
 
@@ -271,6 +284,37 @@ def check_one_memo_idiom() -> list[str]:
     return problems
 
 
+def chase_result_constructions(path: Path) -> list[int]:
+    """The line of every ``ChaseResult(...)`` call."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Attribute):
+            name = func.attr
+        else:
+            name = getattr(func, "id", None)
+        if name == "ChaseResult":
+            found.append(node.lineno)
+    return found
+
+
+def check_one_chase_result_builder() -> list[str]:
+    problems = []
+    for path in sorted(SRC_ROOT.rglob("*.py")):
+        if path in CHASE_RESULT_BUILDERS:
+            continue
+        for lineno in chase_result_constructions(path):
+            problems.append(
+                f"{path.relative_to(REPO_ROOT)}:{lineno}: builds a "
+                f"ChaseResult — only ChaseSession.run in chase/plan.py "
+                f"(and the wire decoder) may"
+            )
+    return problems
+
+
 def main() -> int:
     missing = [path for path in (SRC_ROOT, README) if not path.exists()]
     if missing:
@@ -284,6 +328,7 @@ def main() -> int:
         + check_oracle_is_test_only()
         + check_named_paths_exist()
         + check_one_memo_idiom()
+        + check_one_chase_result_builder()
     )
     if problems:
         for problem in problems:
@@ -293,7 +338,7 @@ def main() -> int:
     print(
         "invariants ok: metric table matches registrations, Instance "
         "storage sealed, no src module imports tests, named paths exist, "
-        "one memo idiom"
+        "one memo idiom, one chase-result builder"
     )
     return 0
 

@@ -16,14 +16,14 @@ involving dependencies that can never fire at all:
 
 Conservative over-approximation is the invariant every consumer leans
 on: spurious edges cost only precision, a missing edge would let
-stratum-by-stratum dispatch or goal-directed pruning change chase
-semantics. :func:`stratify` condenses the graph into strata (never-
-firing dependencies isolate into their own, which the stratified
-dispatcher then never subscribes); :func:`goal_relevant` is the
-backward reachability from an implication goal — at this granularity
-every productive dependency is goal-reachable, so its pruning power
-comes from the never-firing set, with duplicate and entailed
-dependencies handled separately by :mod:`repro.analysis.report`.
+goal-directed pruning change chase semantics. :func:`stratify`
+condenses the graph into strata (never-firing dependencies isolate
+into their own), a static fact the analysis report shows;
+:func:`goal_relevant` is the backward reachability from an implication
+goal — at this granularity every productive dependency is
+goal-reachable, so its pruning power comes from the never-firing set,
+with duplicate and entailed dependencies handled separately by
+:mod:`repro.analysis.report`.
 """
 
 from __future__ import annotations
@@ -100,9 +100,8 @@ def strata_of(graph: MultiDiGraph) -> Tuple[Tuple[int, ...], ...]:
 
     Strata are in topological order of the condensation: once a later
     stratum starts firing, no earlier stratum can acquire a new active
-    trigger (there is no firing-graph edge back into it), so chasing
-    stratum-by-stratum to fixpoint is semantics-preserving. Never-firing
-    dependencies come out as singleton strata the dispatcher can skip.
+    trigger (there is no firing-graph edge back into it). Never-firing
+    dependencies come out as singleton strata.
     """
     components = graph.strongly_connected_components()
     # Tarjan emits reverse topological order (successors first).

@@ -382,7 +382,7 @@ class PrunedDependency:
 
 @dataclass(frozen=True)
 class QueryProgram:
-    """A pruned, stratified program equivalent to the original set."""
+    """A pruned program equivalent to the original set."""
 
     kept: Tuple[Dependency, ...]
     dropped: Tuple[PrunedDependency, ...]
@@ -392,13 +392,6 @@ class QueryProgram:
     @property
     def certificate(self) -> Optional[TerminationCertificate]:
         return self.kept_report.certificate
-
-    def strata(self) -> Tuple[Tuple[Dependency, ...], ...]:
-        """The kept dependencies, grouped into firing strata."""
-        return tuple(
-            tuple(self.kept[index] for index in stratum)
-            for stratum in self.kept_report.strata
-        )
 
     def provenance(
         self, *, applied: bool, derived: Optional[Budget]

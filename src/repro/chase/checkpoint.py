@@ -12,12 +12,14 @@ antichain only decides *whether* a request needs a retry; the
 scheduler then resumes it like any other dispatched query
 (:mod:`repro.service.scheduler`).
 
-The capture point is the BUDGET_EXHAUSTED return inside
-:meth:`ChaseSession.run`, which records a
-:class:`~repro.chase.plan.Suspension`: the interrupted round's delta,
-the dependency whose triggers were firing, the rest of that
-dependency's trigger snapshot, and the rows the round had added. The
-memos contain exactly the universal-slot keys already processed
+The capture point is a BUDGET_EXHAUSTED result. :meth:`ChaseSession.run`
+then leaves a :class:`~repro.chase.plan.Suspension` on the session, and
+its two checkpointing callers (:func:`repro.chase.engine.chase` with
+``checkpoint=True``, and :func:`resume_implies` here) hand the session
+to :func:`capture_checkpoint`. The suspension holds the interrupted
+round's delta, the dependency whose triggers were firing, the rest of
+that dependency's trigger snapshot, and the rows the round had added.
+The memos contain exactly the universal-slot keys already processed
 (``memo.add`` happens per key, before firing), and earlier rounds are
 fully memoized. Intern ids survive serialization because
 :class:`~repro.relational.values.InternTable` assigns ids in
@@ -41,7 +43,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.chase.budget import Budget, ChaseStats
 from repro.chase.implication import (
@@ -51,7 +53,7 @@ from repro.chase.implication import (
     inference_outcome,
 )
 from repro.chase.plan import ChaseSession, Suspension
-from repro.chase.result import ChaseResult, ChaseStatus, ChaseStep
+from repro.chase.result import ChaseStatus, ChaseStep
 from repro.dependencies.classify import Dependency
 from repro.kernel.joins import IntRow
 from repro.relational.instance import Instance
@@ -164,28 +166,6 @@ def rebuild_session(
     return working, session
 
 
-def capturing(
-    finish: Callable[[ChaseStatus], ChaseResult],
-    session: ChaseSession,
-    *,
-    stats: ChaseStats,
-    trace: Optional[Sequence[ChaseStep]],
-    target: Optional[Dependency],
-) -> Callable[[ChaseStatus], ChaseResult]:
-    """Wrap a chase's ``finish`` so a BUDGET_EXHAUSTED result carries a
-    :class:`ChaseCheckpoint` of ``session`` (the suspended run)."""
-
-    def finish_and_capture(status: ChaseStatus) -> ChaseResult:
-        result = finish(status)
-        if status is ChaseStatus.BUDGET_EXHAUSTED:
-            result.checkpoint = capture_checkpoint(
-                session, stats=stats, trace=trace, target=target
-            )
-        return result
-
-    return finish_and_capture
-
-
 def resume_implies(
     checkpoint: ChaseCheckpoint,
     *,
@@ -204,7 +184,7 @@ def resume_implies(
     if target is None:
         raise ValueError("checkpoint carries no implication target")
     __, frozen = _freeze_target(target)
-    working, session = rebuild_session(checkpoint, target.schema)
+    __, session = rebuild_session(checkpoint, target.schema)
     stats = ChaseStats(
         budget=budget if budget is not None else Budget(),
         steps=checkpoint.steps,
@@ -212,26 +192,16 @@ def resume_implies(
         started_at=time.monotonic() - checkpoint.elapsed,
     )
     tracing = record_trace and checkpoint.trace is not None
-    trace: list[ChaseStep] = list(checkpoint.trace) if tracing else []
-
-    def finish(status: ChaseStatus) -> ChaseResult:
-        return ChaseResult(
-            status=status, instance=working, steps=trace, stats=stats
-        )
-
+    trace = list(checkpoint.trace) if tracing else None
     result = session.run(
         checkpoint.suspension.delta,
-        stats=stats,
-        trace=trace,
+        stats,
         goal=ConclusionGoal(target, frozen),
-        record_trace=tracing,
-        finish=capturing(
-            finish,
-            session,
-            stats=stats,
-            trace=trace if tracing else None,
-            target=target,
-        ),
+        trace=trace,
         resume=checkpoint.suspension,
     )
+    if result.status is ChaseStatus.BUDGET_EXHAUSTED:
+        result.checkpoint = capture_checkpoint(
+            session, stats=stats, trace=trace, target=target
+        )
     return inference_outcome(result, target, frozen)

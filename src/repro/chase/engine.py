@@ -8,9 +8,12 @@ satisfies every dependency, and the result is then a *universal model*
 of the input under the dependencies, which is what makes chase-based
 implication testing sound and complete on terminating runs.
 
-:func:`chase` runs on the compiled kernel (:mod:`repro.chase.plan`):
-per-dependency join plans over interned integer rows with
-delta-indexed trigger dispatch. The differential suites hold it to the
+:func:`chase` builds one :class:`~repro.chase.plan.ChaseSession` over
+the start instance and runs it once: per-dependency join plans over
+interned integer rows with delta-indexed trigger dispatch. The only
+goal is an implication's frozen conclusion
+(:class:`~repro.chase.implication.ConclusionGoal`), compiled into the
+kernel's per-firing probe. The differential suites hold it to the
 round-based generic chase kept in ``tests/oracle`` — same statuses,
 replay-valid traces, and final instances equal up to null renaming;
 firing order inside a round (and hence trace step order and null
@@ -25,9 +28,10 @@ step against the dependency it claims to fire.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from repro.chase.budget import Budget
+from repro.chase.plan import ChaseSession
 from repro.chase.result import ChaseResult, ChaseStatus, ChaseStep
 from repro.dependencies.classify import Dependency
 from repro.dependencies.template import Variable, is_variable
@@ -36,8 +40,8 @@ from repro.relational.homomorphism import apply_assignment
 from repro.relational.instance import Instance, Row
 from repro.relational.values import LabeledNull, NullFactory, Value
 
-#: A predicate the caller wants to become true; the chase stops when it does.
-Goal = Callable[[Instance], bool]
+if TYPE_CHECKING:
+    from repro.chase.implication import ConclusionGoal
 
 
 def chase(
@@ -45,70 +49,47 @@ def chase(
     dependencies: Sequence[Dependency],
     *,
     budget: Optional[Budget] = None,
-    goal: Optional[Goal] = None,
+    goal: Optional[ConclusionGoal] = None,
     inplace: bool = False,
     record_trace: bool = True,
     null_factory: Optional[NullFactory] = None,
     checkpoint: bool = False,
-    strata: Optional[Sequence[Sequence[Dependency]]] = None,
 ) -> ChaseResult:
     """Chase ``instance`` with ``dependencies``.
 
     Returns a :class:`~repro.chase.result.ChaseResult` whose status is
-    ``TERMINATED`` (fixpoint), ``GOAL_REACHED`` (the ``goal`` predicate
-    became true) or ``BUDGET_EXHAUSTED``. Unless ``inplace`` is set the
-    input instance is left untouched.
+    ``TERMINATED`` (fixpoint), ``GOAL_REACHED`` (the ``goal``'s
+    conclusion image appeared) or ``BUDGET_EXHAUSTED``. Unless
+    ``inplace`` is set the input instance is left untouched.
 
     ``record_trace`` keeps the full list of fired steps (the replayable
-    certificate); disable it for large benchmark runs.
+    certificate); disable it for large benchmark runs. The stats count
+    every step either way.
 
-    ``checkpoint`` asks the kernel to attach a
+    ``checkpoint`` attaches a
     :class:`repro.chase.checkpoint.ChaseCheckpoint` of the suspended
     run to a BUDGET_EXHAUSTED result, so a covering-budget retry can
     resume instead of restarting.
-
-    ``strata`` (from :func:`repro.analysis.report.prune_for_target`)
-    asks the kernel to dispatch stratum-by-stratum along the
-    firing-graph condensation; each stratum's session compiles only its
-    own dependencies. The strata must jointly equal ``dependencies``.
-    Ignored when ``checkpoint`` is requested (the stratified runner is
-    not checkpointable).
     """
-    from repro.chase.plan import run_compiled_chase, run_stratified_chase
-
     working = instance if inplace else instance.copy()
-    budget = budget if budget is not None else Budget()
-    stats = budget.start()
-    fresh = null_factory if null_factory is not None else NullFactory()
-    trace: list[ChaseStep] = []
-
-    def finish(status: ChaseStatus) -> ChaseResult:
-        return ChaseResult(status=status, instance=working, steps=trace, stats=stats)
-
-    # The kernel performs the initial goal check itself (through the
-    # compiled goal plan when the goal exposes one).
-    if strata is not None and len(strata) > 1 and not checkpoint:
-        return run_stratified_chase(
-            working,
-            strata,
-            stats=stats,
-            fresh=fresh,
-            trace=trace,
-            goal=goal,
-            record_trace=record_trace,
-            finish=finish,
-        )
-    return run_compiled_chase(
+    stats = (budget if budget is not None else Budget()).start()
+    session = ChaseSession(
         working,
         dependencies,
-        stats=stats,
-        fresh=fresh,
-        trace=trace,
-        goal=goal,
-        record_trace=record_trace,
-        finish=finish,
-        checkpoint=checkpoint,
+        fresh=null_factory if null_factory is not None else NullFactory(),
     )
+    trace: Optional[list[ChaseStep]] = [] if record_trace else None
+    result = session.run(session.state.rows_list, stats, goal=goal, trace=trace)
+    if checkpoint and result.status is ChaseStatus.BUDGET_EXHAUSTED:
+        from repro.chase.checkpoint import capture_checkpoint
+
+        result.checkpoint = capture_checkpoint(
+            session,
+            stats=stats,
+            trace=trace,
+            target=goal.target if goal is not None else None,
+        )
+    return result
 
 
 def apply_step(instance: Instance, step: ChaseStep, *, verify: bool = True) -> None:

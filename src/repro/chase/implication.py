@@ -133,23 +133,20 @@ def conclusion_satisfied(
 
 
 class ConclusionGoal:
-    """The implication goal as an object the compiled kernel can compile.
+    """The chase goal: the target's conclusion at the frozen match.
 
-    Calling it is ``conclusion_satisfied`` (for ad-hoc callers); the
-    ``goal_atoms`` / ``goal_partial`` attributes let
-    :mod:`repro.chase.plan` compile the same check into an int-index
-    probe it evaluates after every firing.
+    :meth:`repro.chase.plan.ChaseSession.run` compiles ``goal_atoms``
+    and ``goal_partial`` into one int-index probe per run and evaluates
+    it after every firing. Calling the goal is ``conclusion_satisfied``
+    (for ad-hoc callers and the reference engines).
     """
 
-    __slots__ = ("target", "goal_atoms", "goal_partial", "goal_plan_cache")
+    __slots__ = ("target", "goal_atoms", "goal_partial")
 
     def __init__(self, target: Dependency, frozen: dict[Variable, Value]):
         self.target = target
         self.goal_atoms = target.conclusions
         self.goal_partial = frozen
-        #: Slot for the kernel's compiled form of this goal (set on
-        #: first compiled chase; reused by later chases of this goal).
-        self.goal_plan_cache = None
 
     def __call__(self, instance: Instance) -> bool:
         return conclusion_satisfied(instance, self.target, self.goal_partial)
@@ -225,7 +222,6 @@ def implies(
     run_dependencies = list(dependencies)
     run_budget = budget
     run_checkpoint = checkpoint
-    run_strata = None
     provenance: Optional[dict] = None
     if analysis != "off":
         from repro.analysis.report import prune_for_target
@@ -244,9 +240,6 @@ def implies(
             run_dependencies = list(program.kept)
             run_budget = derived
             run_checkpoint = False
-            strata = program.strata()
-            if len(strata) > 1:
-                run_strata = strata
         provenance = program.provenance(
             applied=derived is not None, derived=derived
         )
@@ -261,7 +254,6 @@ def implies(
         record_trace=record_trace,
         inplace=True,
         checkpoint=run_checkpoint,
-        strata=run_strata,
     )
     return inference_outcome(result, target, frozen, analysis=provenance)
 

@@ -1,13 +1,13 @@
 """Maintained universal models: the chase as a persistent, updatable object.
 
-Every consumer so far treats the chase as a *function*: hand it a
-database and a dependency program, get a universal model back, throw the
-model away. The compiled kernel is already delta-driven, so almost all
-of that work can be kept: a :class:`MaintainedModel` owns a dependency
-program, a live chased :class:`~repro.relational.instance.Instance` and
-a suspended :class:`~repro.chase.plan.ChaseSession`, and keeps the
-instance a universal model of its *base facts* across a stream of
-:meth:`insert` / :meth:`delete` calls — re-chasing only what changed.
+A one-shot chase throws its session away. The kernel is delta-driven,
+so almost all of that work can be kept: a :class:`MaintainedModel`
+owns a dependency program, a live chased
+:class:`~repro.relational.instance.Instance` and a suspended
+:class:`~repro.chase.plan.ChaseSession`, and keeps the instance a
+universal model of its *base facts* across :meth:`insert` /
+:meth:`delete` calls, each one goal-less, untraced ``ChaseSession.run``
+that re-chases only what changed.
 
 **Insert** is the cheap direction. Inserting constant rows Δ into a
 chased fixpoint ``U = chase(D, Σ)`` and resuming the chase computes
@@ -369,21 +369,7 @@ class MaintainedModel:
             )
 
     def _run(self, delta: Sequence[IntRow]) -> ChaseResult:
-        stats = self.budget.start()
-
-        def finish(status: ChaseStatus) -> ChaseResult:
-            return ChaseResult(
-                status=status, instance=self.instance, steps=[], stats=stats
-            )
-
-        result = self.session.run(
-            delta,
-            stats=stats,
-            trace=[],
-            goal=None,
-            record_trace=False,
-            finish=finish,
-        )
+        result = self.session.run(delta, self.budget.start())
         self.status = result.status
         return result
 

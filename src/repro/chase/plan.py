@@ -28,6 +28,12 @@ antecedent structure never changes, so all of that is decided
   instance, which *is* the standard restricted chase with semi-naive
   bookkeeping.
 
+:meth:`ChaseSession.run` is the one chase loop and the one place a
+:class:`~repro.chase.result.ChaseResult` is built. Fresh
+(:func:`repro.chase.engine.chase`), resumed
+(:func:`repro.chase.checkpoint.resume_implies`) and maintained
+(:class:`repro.chase.maintain.MaintainedModel`) chases each call it once.
+
 The row/step/walker primitives live in :mod:`repro.kernel.joins` — the
 engine layer this module shares with the model checker
 (:mod:`repro.chase.checkplan`) and homomorphism search
@@ -45,11 +51,11 @@ why they compare semantics, not step sequences.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
+from repro.chase.budget import ChaseStats
 from repro.chase.result import ChaseResult, ChaseStatus, ChaseStep
 from repro.dependencies.classify import Dependency
-from repro.dependencies.template import Variable
 from repro.kernel.joins import (
     AtomStep,
     IntRow,
@@ -60,8 +66,12 @@ from repro.kernel.joins import (
     has_extension,
     memoized,
 )
-from repro.relational.instance import Instance, Row
+from repro.relational.instance import Instance
 from repro.relational.values import NullFactory
+
+if TYPE_CHECKING:
+    from repro.chase.implication import ConclusionGoal
+
 
 class PivotPlan:
     """A join order for the remaining atoms, seeded from one pivot atom.
@@ -209,11 +219,11 @@ class GoalPlan:
     """A compiled existence check: do ``atoms`` embed, extending ``partial``?
 
     Used for the implication goal ("has the frozen conclusion image
-    appeared?") which the engine evaluates after *every* firing — the
-    kernel probes the int-row index instead of running a one-shot
-    homomorphism search each time. Built from any goal object
-    exposing ``goal_atoms`` and ``goal_partial`` (see
-    :class:`repro.chase.implication.ConclusionGoal`).
+    appeared?") which :meth:`ChaseSession.run` evaluates after *every*
+    firing — the kernel probes the int-row index instead of running a
+    one-shot homomorphism search each time. Built once per run from a
+    :class:`repro.chase.implication.ConclusionGoal`'s ``goal_atoms``
+    and ``goal_partial``.
     """
 
     __slots__ = ("steps", "prebound", "n_slots")
@@ -243,9 +253,6 @@ class GoalPlan:
         for slot, value in self.prebound:
             regs[slot] = intern(value)
         return regs
-
-    def satisfied(self, state: KernelState, regs: list[int]) -> bool:
-        return has_extension(state, self.steps, 0, regs)
 
 
 class Dispatcher:
@@ -462,15 +469,25 @@ class ChaseSession:
     def run(
         self,
         delta: Sequence[IntRow],
+        stats: ChaseStats,
         *,
-        stats,
-        trace: list[ChaseStep],
-        goal: Optional[Callable[[Instance], bool]],
-        record_trace: bool,
-        finish: Callable[[ChaseStatus], ChaseResult],
+        goal: Optional[ConclusionGoal] = None,
+        trace: Optional[list[ChaseStep]] = None,
         resume: Optional[Suspension] = None,
     ) -> ChaseResult:
-        """Chase to a fixpoint from the given delta frontier.
+        """Chase to a fixpoint, the goal or the budget from ``delta``.
+
+        Delta-driven rounds: a fresh chase seeds the frontier with the
+        whole instance, later rounds take only the rows the previous
+        round added. Per dependency, matches touching the delta are
+        enumerated through the compiled pivot plans, deduplicated
+        against the cross-round ``evaluated`` memo, then fired in order
+        with a live activity re-check, so traces replay.
+
+        ``goal`` is compiled into one :class:`GoalPlan` for the run and
+        checked before the first firing and after every firing. Fired
+        steps are appended to ``trace`` when one is given (None records
+        nothing; ``stats`` count every step either way).
 
         With ``resume`` (a previous run's :attr:`suspended`, the
         frontier then being that run's ``delta``), the first round
@@ -485,44 +502,33 @@ class ChaseSession:
         fresh = self.fresh
         dependencies = self.dependencies
         plans = self.plans
-        # The implication goal exposes its conclusion atoms; compile it
-        # so the after-every-firing check probes the int index instead
-        # of running a one-shot homomorphism search.
-        goal_atoms = getattr(goal, "goal_atoms", None)
-        goal_plan: Optional[GoalPlan] = None
-        goal_regs: list[int] = []
-        if goal is not None and goal_atoms is not None:
-            goal_plan = getattr(goal, "goal_plan_cache", None)
-            if goal_plan is None:
-                goal_plan = GoalPlan(goal_atoms, goal.goal_partial)
-                try:
-                    goal.goal_plan_cache = goal_plan
-                except AttributeError:  # goal object without the cache slot
-                    pass
-            goal_regs = goal_plan.registers(state)
-        # Initial goal check (the engine defers it to the kernel so it
-        # can run on the compiled goal plan).
-        if goal_plan is not None:
-            if goal_plan.satisfied(state, goal_regs):
-                return finish(ChaseStatus.GOAL_REACHED)
-        elif goal is not None and goal(working):
-            return finish(ChaseStatus.GOAL_REACHED)
         evaluated = self.evaluated
         record_derivations = self.record_derivations
         derivations = self.derivations
-
         trivial_dispatch = self.dispatcher.trivial
+        goal_steps: Optional[tuple[AtomStep, ...]] = None
+        goal_regs: list[int] = []
+        if goal is not None:
+            goal_plan = GoalPlan(goal.goal_atoms, goal.goal_partial)
+            goal_steps = goal_plan.steps
+            goal_regs = goal_plan.registers(state)
+
         self.suspended = None
         delta = list(delta)
         first_plan, carried, added_this_round = 0, None, []
-        if resume is not None:
+        status = ChaseStatus.TERMINATED
+        if goal_steps is not None and has_extension(
+            state, goal_steps, 0, goal_regs
+        ):
+            status = ChaseStatus.GOAL_REACHED
+        elif resume is not None:
             first_plan = resume.plan_index
             carried = resume.remaining
             added_this_round = list(resume.added)
             if stats.exhausted(len(working)):
                 self.suspended = resume
-                return finish(ChaseStatus.BUDGET_EXHAUSTED)
-        while delta:
+                status = ChaseStatus.BUDGET_EXHAUSTED
+        while delta and status is ChaseStatus.TERMINATED:
             seeds_per_plan = (
                 None if trivial_dispatch else self.dispatcher.seeds(delta)
             )
@@ -578,7 +584,7 @@ class ChaseSession:
                     stats.note_step()
                     for __ in added_rows:
                         stats.note_row()
-                    if record_trace:
+                    if trace is not None:
                         trace.append(
                             ChaseStep(
                                 dependency=dependency,
@@ -589,11 +595,11 @@ class ChaseSession:
                                 added_rows=tuple(added_rows),
                             )
                         )
-                    if goal_plan is not None:
-                        if goal_plan.satisfied(state, goal_regs):
-                            return finish(ChaseStatus.GOAL_REACHED)
-                    elif goal is not None and goal(working):
-                        return finish(ChaseStatus.GOAL_REACHED)
+                    if goal_steps is not None and has_extension(
+                        state, goal_steps, 0, goal_regs
+                    ):
+                        status = ChaseStatus.GOAL_REACHED
+                        break
                     if stats.exhausted(len(working)):
                         self.suspended = Suspension(
                             delta=tuple(delta),
@@ -601,102 +607,14 @@ class ChaseSession:
                             remaining=tuple(matches[position + 1 :]),
                             added=tuple(added_this_round),
                         )
-                        return finish(ChaseStatus.BUDGET_EXHAUSTED)
+                        status = ChaseStatus.BUDGET_EXHAUSTED
+                        break
+                if status is not ChaseStatus.TERMINATED:
+                    break
             delta, added_this_round, first_plan = added_this_round, [], 0
-        return finish(ChaseStatus.TERMINATED)
-
-
-def run_compiled_chase(
-    working: Instance,
-    dependencies: Sequence[Dependency],
-    *,
-    stats,
-    fresh: NullFactory,
-    trace: list[ChaseStep],
-    goal: Optional[Callable[[Instance], bool]],
-    record_trace: bool,
-    finish: Callable[[ChaseStatus], ChaseResult],
-    checkpoint: bool = False,
-) -> ChaseResult:
-    """The restricted chase on the compiled kernel.
-
-    Delta-driven rounds: round one's delta is the whole instance, later
-    rounds only the rows added in the previous round. Per dependency,
-    matches touching the delta are enumerated through the compiled
-    pivot plans, deduplicated against the cross-round ``evaluated``
-    memo, then fired in order with a live activity re-check (snapshot,
-    then re-check activity right before firing), so traces replay.
-
-    One-shot wrapper over :class:`ChaseSession`: seeds the delta with
-    the whole instance and discards the session afterwards. Long-lived
-    callers (:mod:`repro.chase.maintain`) hold the session instead.
-
-    With ``checkpoint`` a BUDGET_EXHAUSTED result carries a
-    :class:`repro.chase.checkpoint.ChaseCheckpoint` of the suspended
-    session, so a covering-budget retry can resume instead of
-    re-chasing from row zero.
-    """
-    session = ChaseSession(working, dependencies, fresh=fresh)
-    if checkpoint:
-        from repro.chase.checkpoint import capturing
-
-        finish = capturing(
-            finish,
-            session,
+        return ChaseResult(
+            status=status,
+            instance=working,
+            steps=trace if trace is not None else [],
             stats=stats,
-            trace=trace if record_trace else None,
-            target=getattr(goal, "target", None),
         )
-    return session.run(
-        session.state.rows_list,
-        stats=stats,
-        trace=trace,
-        goal=goal,
-        record_trace=record_trace,
-        finish=finish,
-    )
-
-
-def run_stratified_chase(
-    working: Instance,
-    strata: Sequence[Sequence[Dependency]],
-    *,
-    stats,
-    fresh: NullFactory,
-    trace: list[ChaseStep],
-    goal: Optional[Callable[[Instance], bool]],
-    record_trace: bool,
-    finish: Callable[[ChaseStatus], ChaseResult],
-) -> ChaseResult:
-    """Chase stratum-by-stratum along the firing-graph condensation.
-
-    ``strata`` comes from :meth:`repro.analysis.report.QueryProgram.strata`
-    in topological order of the firing-graph condensation: no dependency
-    in an earlier stratum can acquire a new active trigger from a later
-    stratum's firings, so chasing each stratum to its own fixpoint and
-    never revisiting it reaches the same fixpoint as the joint chase —
-    while each stratum's session compiles and dispatches only its own
-    dependencies. Intermediate ``TERMINATED`` results are discarded;
-    ``GOAL_REACHED`` / ``BUDGET_EXHAUSTED`` return immediately. Not
-    checkpointable (callers use this only on certified, derived-budget
-    runs where exhaustion is impossible).
-    """
-    result: Optional[ChaseResult] = None
-    for stratum in strata:
-        session = ChaseSession(working, stratum, fresh=fresh)
-        result = session.run(
-            session.state.rows_list,
-            stats=stats,
-            trace=trace,
-            goal=goal,
-            record_trace=record_trace,
-            finish=finish,
-        )
-        if result.status is not ChaseStatus.TERMINATED:
-            return result
-    if result is not None:
-        return result
-    # Empty program: only the initial goal check remains.
-    if goal is not None and goal(working):
-        return finish(ChaseStatus.GOAL_REACHED)
-    return finish(ChaseStatus.TERMINATED)

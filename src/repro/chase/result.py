@@ -77,7 +77,7 @@ class ChaseResult:
 
     @property
     def step_count(self) -> int:
-        """Number of trigger firings (0 when tracing was disabled)."""
+        """Number of trigger firings (the stats count them, traced or not)."""
         if self.stats is not None:
             return self.stats.steps
         return len(self.steps)

@@ -183,7 +183,7 @@ class KernelState:
         values = self.values
         row = tuple(values[vid] for vid in irow)
         instance = self.instance
-        instance._rows.add(row)
+        instance._rows[row] = None
         instance._snapshot = None
         instance._epoch += 1
         index = instance._index

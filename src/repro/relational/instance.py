@@ -83,7 +83,10 @@ class Instance:
 
     def __init__(self, schema: Schema, rows: Iterable[Row] = ()):
         self.schema = schema
-        self._rows: set[Row] = set()
+        # The row set, as dict keys so iteration follows insertion order:
+        # a chase seeds its kernel view from this order, and a set would
+        # make the firing sequence depend on string hashing.
+        self._rows: dict[Row, None] = {}
         # (column, value) -> set of rows having that value in that column.
         self._index: dict[tuple[int, Value], set[Row]] = {}
         # Lazily created Value <-> dense-int table for the compiled chase
@@ -113,7 +116,7 @@ class Instance:
         self.schema.check_arity(row)
         if row in self._rows:
             return False
-        self._rows.add(row)
+        self._rows[row] = None
         self._snapshot = None
         self._epoch += 1
         for column, value in enumerate(row):
@@ -131,7 +134,7 @@ class Instance:
         """Remove ``row`` if present; return True when it was removed."""
         if row not in self._rows:
             return False
-        self._rows.discard(row)
+        del self._rows[row]
         self._snapshot = None
         self._epoch += 1
         for column, value in enumerate(row):
@@ -307,7 +310,7 @@ class Instance:
         """
         clone = Instance.__new__(Instance)
         clone.schema = self.schema
-        clone._rows = set(self._rows)
+        clone._rows = dict(self._rows)
         clone._index = {
             key: set(bucket) for key, bucket in self._index.items()
         }

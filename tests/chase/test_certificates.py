@@ -55,6 +55,8 @@ class TestMinimizeTrace:
         step that produced it: honest ``added_rows`` omit the row, but
         verified replay still requires it to exist."""
         from repro.chase.engine import chase
+        from repro.chase.implication import ConclusionGoal
+        from repro.dependencies.template import Variable
         from repro.relational.instance import Instance
         from repro.relational.values import Const
 
@@ -65,9 +67,13 @@ class TestMinimizeTrace:
         a, b = Const("a"), Const("b")
         start = Instance(schema, [(a, b)])
         goal_row = (b, a)
-        result = chase(
-            start, [loop, swap_and_loop], goal=lambda inst: goal_row in inst
+        # Stop once ``goal_row`` is present: the conclusion of
+        # R(x, y) -> R(x, y) with x, y frozen to its values.
+        goal = ConclusionGoal(
+            parse_dependency("R(x, y) -> R(x, y)", schema),
+            {Variable("x"): b, Variable("y"): a},
         )
+        result = chase(start, [loop, swap_and_loop], goal=goal)
         sliced = minimize_trace(result.steps, {goal_row})
         final = replay(start, sliced, verify=True)  # must not raise
         assert goal_row in final

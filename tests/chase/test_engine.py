@@ -4,8 +4,10 @@ import pytest
 
 from repro.chase.budget import Budget
 from repro.chase.engine import apply_step, chase, replay
+from repro.chase.implication import ConclusionGoal
 from repro.chase.result import ChaseStatus, ChaseStep
 from repro.dependencies.parser import parse_td
+from repro.dependencies.template import Variable
 from repro.errors import VerificationError
 from repro.relational.instance import Instance
 from repro.relational.schema import Schema
@@ -81,25 +83,33 @@ class TestStandardChase:
         assert result.step_count == 1  # stats still count
 
 
+def row_goal(schema, row):
+    """The goal "``row`` is present", as the implication goal the chase
+    compiles: the conclusion of ``R(x, y) -> R(x, y)`` with x, y frozen
+    to the row's values."""
+    target = parse_td("R(x, y) -> R(x, y)", schema)
+    return ConclusionGoal(target, {Variable("x"): row[0], Variable("y"): row[1]})
+
+
 class TestGoal:
     def test_goal_stops_early(self, schema, transitivity):
         # Long path: goal reached before full closure.
         nodes = [Const(f"n{i}") for i in range(8)]
         long_path = Instance(schema, [(nodes[i], nodes[i + 1]) for i in range(7)])
         target = (nodes[0], nodes[2])
-        result = chase(
-            long_path, [transitivity], goal=lambda inst: target in inst
-        )
+        result = chase(long_path, [transitivity], goal=row_goal(schema, target))
         assert result.status is ChaseStatus.GOAL_REACHED
         assert target in result.instance
 
-    def test_goal_true_initially(self, path, transitivity):
-        result = chase(path, [transitivity], goal=lambda inst: True)
+    def test_goal_true_initially(self, schema, path, transitivity):
+        goal = row_goal(schema, (Const("a"), Const("b")))
+        result = chase(path, [transitivity], goal=goal)
         assert result.status is ChaseStatus.GOAL_REACHED
         assert result.step_count == 0
 
-    def test_unreachable_goal_terminates(self, path, transitivity):
-        result = chase(path, [transitivity], goal=lambda inst: False)
+    def test_unreachable_goal_terminates(self, schema, path, transitivity):
+        goal = row_goal(schema, (Const("c"), Const("a")))
+        result = chase(path, [transitivity], goal=goal)
         assert result.status is ChaseStatus.TERMINATED
 
 

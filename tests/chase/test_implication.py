@@ -1,7 +1,13 @@
 """Unit tests for repro.chase.implication."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.chase.budget import Budget
 from repro.chase.implication import (
     ConclusionGoal,
@@ -54,6 +60,36 @@ class TestProved:
         successor = parse_td("R(x, y) -> R(y, z)", schema)
         weaker = parse_td("R(x, y) & R(y, w) -> R(w, v)", schema)
         assert implies([successor], weaker).status is InferenceStatus.PROVED
+
+
+class TestHashSeedIndependence:
+    def test_chase_is_a_function_of_its_input_not_of_the_hash_seed(self):
+        """Frozen constants hash strings, so a row set kept in hash order
+        would make the kernel seed, and so fire, in a seed-dependent
+        order. The same query must fire the same steps under any seed."""
+        code = (
+            "from repro.chase.implication import implies\n"
+            "from repro.workloads.generators import transitivity_family\n"
+            "outcome = implies(*transitivity_family(8))\n"
+            "result = outcome.chase_result\n"
+            "print(outcome.status.value, result.step_count)\n"
+            "for step in result.steps:\n"
+            "    print(step.bindings)\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(repro.__file__).resolve().parents[1])
+        runs = {}
+        for seed in ("1", "2", "3", "4"):
+            env["PYTHONHASHSEED"] = seed
+            runs[seed] = subprocess.run(
+                [sys.executable, "-c", code],
+                env=env,
+                capture_output=True,
+                check=True,
+                text=True,
+            ).stdout
+        assert runs["1"].startswith("proved ")
+        assert all(output == runs["1"] for output in runs.values()), runs
 
 
 class TestConclusionGoal:

@@ -24,7 +24,7 @@ import pytest
 
 from repro.chase.budget import Budget
 from repro.chase.engine import chase, replay
-from repro.chase.implication import conclusion_satisfied, implies
+from repro.chase.implication import ConclusionGoal, conclusion_satisfied, implies
 from repro.chase.result import ChaseStatus
 from repro.relational.core import core_of, homomorphically_equivalent
 from repro.workloads.generators import (
@@ -146,7 +146,7 @@ class TestBudgetAndGoalParity:
         results = _all_runs(
             start,
             dependencies,
-            goal=lambda inst: conclusion_satisfied(inst, target, frozen),
+            goal=ConclusionGoal(target, frozen),
         )
         for key, result in results.items():
             assert result.status is ChaseStatus.GOAL_REACHED, key
