@@ -3,8 +3,9 @@
 
 Exercises the full deployment path — console entry point, ephemeral-port
 binding, banner parsing, ``/healthz``, one ``/v1/batch`` over real HTTP,
-the ``/metrics`` Prometheus exposition and a ``/v1/trace`` round trip —
-and exits non-zero on any failure. Run from the repository root::
+the ``/metrics`` Prometheus exposition, a ``/v1/trace`` round trip and a
+malformed client budget (400, then a valid query still answers) — and
+exits non-zero on any failure. Run from the repository root::
 
     PYTHONPATH=src python scripts/server_smoke.py
 """
@@ -20,7 +21,8 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 from repro.chase.budget import Budget  # noqa: E402
 from repro.chase.implication import InferenceStatus  # noqa: E402
 from repro.dependencies.parser import parse_td  # noqa: E402
-from repro.service.client import ServiceClient  # noqa: E402
+from repro.io.json_codec import dependency_to_json  # noqa: E402
+from repro.service.client import ServiceClient, ServiceHTTPError  # noqa: E402
 from repro.service.testing import ServeSubprocess  # noqa: E402
 
 
@@ -83,6 +85,24 @@ def main() -> int:
         ):
             assert required in text, f"/metrics lost {required}"
         print(f"metrics: {parsed} samples parsed OK")
+
+        # A non-numeric budget is the client's error (400), not a 500,
+        # and the server keeps answering afterwards.
+        target = parse_td("R(a, b) & R(b, c) & R(c, d) -> R(a, d)")
+        body = {
+            "dependencies": [dependency_to_json(transitivity)],
+            "target": dependency_to_json(target),
+            "budget": {"max_steps": "abc"},
+        }
+        try:
+            client.request("POST", "/v1/implies", body)
+        except ServiceHTTPError as error:
+            assert error.status == 400, error
+        else:
+            raise AssertionError("a non-numeric budget was accepted")
+        verdict = client.implies([transitivity], target)
+        assert verdict.status is InferenceStatus.PROVED, verdict.status
+        print("bad budget: 400, then a valid query answers")
         print("OK: serve boots, answers, reports stats, traces and metrics")
     return 0
 

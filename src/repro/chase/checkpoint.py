@@ -170,7 +170,6 @@ def resume_implies(
     checkpoint: ChaseCheckpoint,
     *,
     budget: Optional[Budget] = None,
-    record_trace: bool = True,
 ) -> InferenceOutcome:
     """Continue a suspended implication test under a (bigger) budget.
 
@@ -178,7 +177,8 @@ def resume_implies(
     elapsed time against the new budget, so its verdict matches one
     uninterrupted run under that budget. If the new budget also runs
     out, the UNKNOWN outcome carries a fresh checkpoint, so retries
-    chain.
+    chain. The run traces exactly when the checkpoint carries a trace:
+    it extends that prefix, so a resumed PROVED replays from the start.
     """
     target = checkpoint.target
     if target is None:
@@ -191,8 +191,7 @@ def resume_implies(
         rows_added=checkpoint.rows_added,
         started_at=time.monotonic() - checkpoint.elapsed,
     )
-    tracing = record_trace and checkpoint.trace is not None
-    trace = list(checkpoint.trace) if tracing else None
+    trace = list(checkpoint.trace) if checkpoint.trace is not None else None
     result = session.run(
         checkpoint.suspension.delta,
         stats,

@@ -98,12 +98,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     batch_cmd.add_argument("--max-steps", type=int, default=10_000)
     batch_cmd.add_argument("--max-seconds", type=float, default=30.0)
-    batch_cmd.add_argument(
-        "--share-budget",
-        action="store_true",
-        help="treat --max-steps/--max-seconds as a whole-batch budget, "
-        "divided across the queries actually executed",
-    )
 
     serve_cmd = commands.add_parser(
         "serve",
@@ -350,9 +344,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         return EXIT_USAGE
     store = JsonLinesStore(Path(args.cache)) if args.cache else None
     with InferenceService(
-        cache=ResultCache(store=store),
-        workers=args.workers,
-        share_budget=args.share_budget,
+        cache=ResultCache(store=store), workers=args.workers
     ) as service:
         report = service.run_batch(
             dependencies,

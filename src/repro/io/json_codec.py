@@ -330,14 +330,25 @@ def budget_to_json(budget: Budget) -> Json:
 
 
 def budget_from_json(payload: Json) -> Budget:
-    """Decode a budget."""
+    """Decode a budget.
+
+    Each axis must be null (unlimited) or a non-negative number, and
+    ``max_steps``/``max_rows`` an integer: anything else raises
+    :class:`CodecError`, which the HTTP server answers with 400.
+    """
     if not isinstance(payload, dict):
         raise CodecError(f"bad budget payload {payload!r}")
-    return Budget(
-        max_steps=payload.get("max_steps"),
-        max_rows=payload.get("max_rows"),
-        max_seconds=payload.get("max_seconds"),
-    )
+    axes = {}
+    for axis, kind in (("max_steps", int), ("max_rows", int), ("max_seconds", (int, float))):
+        value = payload.get(axis)
+        if value is not None and (
+            isinstance(value, bool)
+            or not isinstance(value, kind)
+            or not value >= 0
+        ):
+            raise CodecError(f"bad budget {axis} {value!r}")
+        axes[axis] = value
+    return Budget(**axes)
 
 
 def stats_to_json(stats: ChaseStats) -> Json:

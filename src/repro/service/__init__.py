@@ -12,8 +12,7 @@ must fan out across cores. This package layers exactly that on top of
 * :mod:`repro.service.scheduler` — one dispatch function
   (:func:`run_task`: resume a stale UNKNOWN's checkpoint, else chase
   from scratch) run serially (:func:`serial_run`) or through a
-  persistent :class:`WorkerPool` (submit/drain, crash containment),
-  with budget division;
+  persistent :class:`WorkerPool` (submit/drain, crash containment);
 * :mod:`repro.service.api` — the :class:`InferenceService` facade with
   ``submit()`` / ``run()`` / ``run_batch()``;
 * :mod:`repro.service.server` — a long-lived stdlib-asyncio HTTP
@@ -64,7 +63,6 @@ from repro.service.scheduler import (
     PoolRun,
     QueryTask,
     WorkerPool,
-    divide_budget,
     run_task,
     serial_run,
 )
@@ -87,7 +85,6 @@ __all__ = [
     "QueryTask",
     "PoolRun",
     "WorkerPool",
-    "divide_budget",
     "run_task",
     "serial_run",
     "InferenceServer",

@@ -19,6 +19,12 @@ returns the outcome of the *structurally equal* query actually executed:
 same verdict and equally valid certificates (implication is invariant
 under variable renaming), though the certificate's variable names are
 those of the executed representative.
+
+There is one trace policy and one budget policy. Every chase records
+its trace, so every served PROVED — cached, deduplicated or resumed
+from a checkpoint — carries a replayable proof. Every query runs under
+the budget passed to :meth:`InferenceService.run`, however many share
+the batch.
 """
 
 from __future__ import annotations
@@ -50,13 +56,11 @@ from repro.obs.metrics import MetricsRegistry, Stopwatch
 from repro.obs.trace import RunTrace, Span, TraceBuffer, new_trace_id
 from repro.service.cache import ResultCache, budget_meet
 from repro.service.instruments import ServiceInstruments
-from repro.service.scheduler import (
-    PoolRun,
-    QueryTask,
-    WorkerPool,
-    divide_budget,
-    serial_run,
-)
+from repro.service.scheduler import PoolRun, QueryTask, WorkerPool, serial_run
+
+#: How many recent run traces :attr:`InferenceService.traces` retains for
+#: ``GET /v1/trace/<id>``.
+TRACE_CAPACITY = 256
 
 
 class ProofVerificationError(ReproError):
@@ -151,11 +155,6 @@ class InferenceService:
       persistent pool of ``n`` processes, forked on the first batch and
       reused by every later one (``close()`` — or using the service as a
       context manager — shuts it down).
-    * ``record_trace`` — keep replayable proof traces (on by default; the
-      cache stores them, so leave it on unless outcomes are throwaway).
-    * ``share_budget`` — treat the budget handed to :meth:`run` as a
-      *whole-batch* bound, divided evenly across every chase dispatched
-      (cache hits are free), instead of the default per-query bound.
     * ``metrics`` — the :class:`~repro.obs.metrics.MetricsRegistry`
       every pipeline stage reports into; a private one is created when
       omitted. Pass a shared registry to aggregate several services
@@ -166,8 +165,6 @@ class InferenceService:
       :class:`ProofVerificationError`. Off by default — it re-does a
       bounded version of the chase's work — but it is what gives the
       ``verify`` stage of ``repro_stage_seconds`` real semantics.
-    * ``trace_capacity`` — how many recent run traces :attr:`traces`
-      retains for ``GET /v1/trace/<id>``.
     * ``max_restarts`` — how many in-place worker-pool rebuilds one
       batch may consume after worker crashes before its remaining
       undecided queries are answered FAILED (crash containment lives in
@@ -180,11 +177,8 @@ class InferenceService:
         cache: Optional[ResultCache] = None,
         *,
         workers: int = 0,
-        record_trace: bool = True,
-        share_budget: bool = False,
         metrics: Optional[MetricsRegistry] = None,
         verify_proofs: bool = False,
-        trace_capacity: int = 256,
         max_restarts: int = 3,
     ):
         if workers < 0:
@@ -194,11 +188,9 @@ class InferenceService:
         self.cache = cache if cache is not None else ResultCache()
         self.workers = workers
         self.max_restarts = max_restarts
-        self.record_trace = record_trace
-        self.share_budget = share_budget
         self.verify_proofs = verify_proofs
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.traces = TraceBuffer(trace_capacity)
+        self.traces = TraceBuffer(TRACE_CAPACITY)
         self._instruments = ServiceInstruments(self.metrics)
         self.cache.bind_metrics(self.metrics)
         self._pending: list[_Pending] = []
@@ -403,26 +395,13 @@ class InferenceService:
             )
 
         # Cache pass: serve what is already known, group the rest by
-        # fingerprint so structurally identical queries chase once. In
-        # share-budget mode UNKNOWN staleness is judged against the
-        # pessimistic division (as if every pending query missed): a
-        # cached run was given at least that much work, so identical
-        # re-runs hit instead of eternally re-chasing their UNKNOWNs.
+        # fingerprint so structurally identical queries chase once.
         watch = Stopwatch()
-        lookup_budget = (
-            divide_budget(budget, len(pending))
-            if self.share_budget and pending
-            else budget
-        )
         lookup_stage = instruments.stage["cache_lookup"]
         groups: dict[str, list[_Pending]] = {}
         for query in pending:
             lookup_started = time.perf_counter()
-            entry = self.cache.lookup(
-                query.fingerprint,
-                lookup_budget,
-                require_trace=self.record_trace,
-            )
+            entry = self.cache.lookup(query.fingerprint, budget)
             lookup_stage.observe(time.perf_counter() - lookup_started)
             if entry is not None and derive_budgets:
                 # A budget-free query over a certified set can chase to
@@ -482,25 +461,14 @@ class InferenceService:
                     },
                 )
             )
-        # With share_budget the batch budget is split across every chase
-        # actually dispatched, resumed ones included. The divided budget
-        # is also what gets recorded (an UNKNOWN is only conclusive for
-        # the work its chase was given).
-        per_query = (
-            divide_budget(budget, len(tasks))
-            if self.share_budget and tasks
-            else budget
-        )
         if not tasks:
             run = PoolRun()
         elif self.workers == 0:
-            run = serial_run(
-                tasks, per_query, self.record_trace, metrics=self.metrics
-            )
+            run = serial_run(tasks, budget, self.metrics)
         else:
             # The pool persists across run() calls: batch N+1 reuses the
             # worker processes batch N forked.
-            run = self.pool().run(tasks, per_query, self.record_trace)
+            run = self.pool().run(tasks, budget)
         outcomes = run.outcomes
         stats.resumed = len(run.resumed)
         stats.executed = len(tasks) - stats.resumed
@@ -520,19 +488,9 @@ class InferenceService:
                 )
             )
 
-        # A resumed PROVED carries a replayable trace only when its
-        # checkpoint carried the prior steps; one without is neither
-        # verified nor recorded as traced.
-        untraced = {
-            slot
-            for slot in run.resumed
-            if outcomes[slot].proved and not outcomes[slot].chase_result.steps
-        }
         if self.verify_proofs and tasks:
             verified = sum(
-                self._verify_proof(outcomes[slot])
-                for slot in range(len(tasks))
-                if slot not in untraced
+                self._verify_proof(outcomes[slot]) for slot in range(len(tasks))
             )
             spans.append(
                 Span("verify", watch.split(), {"proofs_verified": verified})
@@ -551,11 +509,7 @@ class InferenceService:
             else:
                 checkpoint_payload = run.checkpoints.get(slot)
                 self.cache.record(
-                    fingerprint,
-                    outcome,
-                    per_query,
-                    traced=self.record_trace and slot not in untraced,
-                    checkpoint=checkpoint_payload,
+                    fingerprint, outcome, budget, checkpoint=checkpoint_payload
                 )
                 if checkpoint_payload is not None:
                     instruments.checkpoints_stored.inc()

@@ -10,9 +10,9 @@ whose certificates replay exactly like freshly computed ones.
 
 Caching policy by status:
 
-* **PROVED / DISPROVED** — final answers; reusable under any budget. A
-  PROVED entry recorded with tracing off is flagged (``traced=False``)
-  and treated as stale for callers that require a replayable proof.
+* **PROVED / DISPROVED** — final answers; reusable under any budget.
+  The service always records traces, so a PROVED entry always carries
+  a replayable proof.
 * **UNKNOWN** — only means "not decided *within this budget*", so the
   entry remembers the budgets its chases ran under and is served only
   to requests one of them covers; a bigger budget is a miss and
@@ -26,7 +26,10 @@ Caching policy by status:
 Lines written before the cache dropped its per-variant budgets
 (``"variants"`` / ``"variant_budgets"``) still load: an UNKNOWN keeps
 only the budgets its ``standard`` arm ran under, and compaction
-rewrites such lines in the current shape.
+rewrites such lines in the current shape. Lines a service wrote with
+tracing off (``"traced": false``) are skipped on load and dropped by
+compaction: each is a proof without a certificate, or a checkpoint with
+no trace prefix to replay.
 
 The in-memory tier is a bounded LRU. An optional on-disk tier
 (:class:`JsonLinesStore`, append-only JSON lines) makes verdicts survive
@@ -143,10 +146,6 @@ class CacheEntry:
     status: InferenceStatus
     budget: Budget
     payload: Json
-    #: Whether the outcome was computed with trace recording on. A PROVED
-    #: entry recorded without traces carries no replayable certificate and
-    #: is stale for callers that want one.
-    traced: bool = True
     #: UNKNOWN only: the budgets the chases actually ran under — the
     #: *antichain* of mutually incomparable budgets tried (dominated
     #: ones are pruned on merge). Staleness is judged against these —
@@ -180,7 +179,6 @@ class CacheEntry:
             "fingerprint": self.fingerprint,
             "status": self.status.value,
             "budget": budget_to_json(self.budget),
-            "traced": self.traced,
             "outcome": self.payload,
         }
         if self.status is InferenceStatus.UNKNOWN:
@@ -201,7 +199,6 @@ class CacheEntry:
                 status=InferenceStatus(payload["status"]),
                 budget=budget,
                 payload=payload["outcome"],
-                traced=bool(payload.get("traced", True)),
                 budgets=_budgets_from_json(payload, budget),
                 checkpoint=payload.get("checkpoint"),
             )
@@ -253,7 +250,10 @@ class CacheStats:
 
 
 def _checkpoint_steps(checkpoint: Optional[Json]) -> int:
-    """Chase steps a stored checkpoint has behind it (0 when absent)."""
+    """Chase steps a stored checkpoint has behind it.
+
+    -1 when absent, so a stored checkpoint always beats none.
+    """
     if not isinstance(checkpoint, dict):
         return -1
     steps = checkpoint.get("steps", 0)
@@ -306,7 +306,6 @@ def merge_unknown_entries(
         # for logs and humans); staleness reads ``budgets``.
         budget=budget,
         payload=entry.payload,
-        traced=entry.traced,
         budgets=held,
         checkpoint=checkpoint,
         decoded=entry.decoded,
@@ -385,6 +384,8 @@ class JsonLinesStore:
         Undecodable lines — a torn append after a crash, or hand edits —
         are skipped rather than raised: losing one verdict is recompute
         work, but refusing to open the cache would defeat its purpose.
+        Lines written with tracing off (``"traced": false``) are skipped
+        too, without counting as torn.
         """
         self._lines = 0
         self._fingerprints = set()
@@ -398,10 +399,13 @@ class JsonLinesStore:
                     continue
                 self._lines += 1
                 try:
-                    entry = CacheEntry.from_json(json.loads(line))
+                    record = json.loads(line)
+                    entry = CacheEntry.from_json(record)
                 except (json.JSONDecodeError, CodecError):
                     torn += 1
                     continue
+                if record.get("traced") is False:
+                    continue  # no certificate to serve, no prefix to resume
                 self._fingerprints.add(entry.fingerprint)
                 yield entry
         if torn:
@@ -623,21 +627,12 @@ class ResultCache:
                 time.perf_counter() - started
             )
 
-    def lookup(
-        self,
-        fingerprint: str,
-        budget: Budget,
-        *,
-        require_trace: bool = False,
-    ) -> Optional[CacheEntry]:
+    def lookup(self, fingerprint: str, budget: Budget) -> Optional[CacheEntry]:
         """Return a usable entry for ``fingerprint`` under ``budget``, or None.
 
-        Two kinds of entries count as *stale* (the caller should
-        recompute and re-record, which merges): an UNKNOWN none of whose
-        chased budgets covers the request (more work may decide what the
-        recorded chases could not); and — with ``require_trace`` — a
-        PROVED computed with tracing off, which carries no replayable
-        certificate.
+        An UNKNOWN none of whose chased budgets covers the request is
+        *stale* (more work may decide what the recorded chases could
+        not): the caller should recompute and re-record, which merges.
         """
         entry = self._entries.get(fingerprint)
         if entry is None:
@@ -645,13 +640,6 @@ class ResultCache:
             return None
         if entry.status is InferenceStatus.UNKNOWN and not any(
             budget_covers(chased, budget) for chased in entry.budgets
-        ):
-            self.stats.stale += 1
-            return None
-        if (
-            require_trace
-            and entry.status is InferenceStatus.PROVED
-            and not entry.traced
         ):
             self.stats.stale += 1
             return None
@@ -679,7 +667,6 @@ class ResultCache:
         outcome: InferenceOutcome,
         budget: Budget,
         *,
-        traced: bool = True,
         checkpoint: Optional[Json] = None,
     ) -> CacheEntry:
         """Store ``outcome`` under ``fingerprint`` (and on disk, if tiered).
@@ -704,7 +691,6 @@ class ResultCache:
             status=outcome.status,
             budget=budget,
             payload=payload,
-            traced=traced,
             budgets=(budget,),
             checkpoint=(
                 checkpoint
@@ -730,9 +716,9 @@ class ResultCache:
         Two invariants protect accumulated knowledge:
 
         * PROVED/DISPROVED are final answers, so an UNKNOWN (some caller
-          recomputed under a tighter budget or stricter trace
-          requirement) must never replace one — in memory or, via the
-          skipped disk append, in the later-lines-win on-disk tier.
+          recomputed under a tighter budget) must never replace one —
+          in memory or, via the skipped disk append, in the
+          later-lines-win on-disk tier.
         * An UNKNOWN must never *downgrade* an UNKNOWN: re-recording
           under a narrower budget merges the budget antichains instead
           of overwriting, otherwise the staleness

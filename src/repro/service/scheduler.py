@@ -19,9 +19,8 @@ checkpoint resumes that suspended chase; every other task (or one
 whose checkpoint no longer rebuilds) chases from scratch. Either way an
 UNKNOWN comes back with a fresh checkpoint, so retries chain.
 
-**Budget-aware division**: :func:`divide_budget` splits one global budget
-fairly across ``n`` queries, for callers that want a whole-batch bound
-rather than a per-query one.
+Every task runs under the budget its caller passed and records its
+trace, so a PROVED, resumed or not, always carries a replayable proof.
 """
 
 from __future__ import annotations
@@ -132,7 +131,7 @@ class PoolRun:
         slot: int,
         dispatched: Dispatched,
         seconds: float,
-        instruments: Optional[ServiceInstruments],
+        instruments: ServiceInstruments,
     ) -> None:
         """Record one executed dispatch here and in the metric families.
 
@@ -150,9 +149,6 @@ class PoolRun:
             self.checkpoints[slot] = checkpoint
         if resumed_from is not None:
             self.resumed.add(slot)
-        if instruments is None:
-            return
-        if resumed_from is not None:
             instruments.checkpoint_resumes.inc()
         instruments.stage["chase"].observe(seconds)
         instruments.chase_run_seconds.labels(
@@ -168,22 +164,7 @@ class PoolRun:
                 )
 
 
-def divide_budget(budget: Budget, ways: int) -> Budget:
-    """Split one budget evenly across ``ways`` queries (axes floor at 1)."""
-    if ways < 1:
-        raise ValueError("cannot divide a budget zero ways")
-
-    def split(limit: Optional[int]) -> Optional[int]:
-        return None if limit is None else max(1, limit // ways)
-
-    return Budget(
-        max_steps=split(budget.max_steps),
-        max_rows=split(budget.max_rows),
-        max_seconds=None if budget.max_seconds is None else budget.max_seconds / ways,
-    )
-
-
-def run_task(task: QueryTask, budget: Budget, record_trace: bool) -> Dispatched:
+def run_task(task: QueryTask, budget: Budget) -> Dispatched:
     """Chase one task: resume its checkpoint, or chase from scratch.
 
     A checkpoint that does not decode or rebuild falls back to a
@@ -194,9 +175,7 @@ def run_task(task: QueryTask, budget: Budget, record_trace: bool) -> Dispatched:
     if task.checkpoint is not None:
         try:
             suspended = checkpoint_from_json(task.checkpoint)
-            outcome = resume_implies(
-                suspended, budget=budget, record_trace=record_trace
-            )
+            outcome = resume_implies(suspended, budget=budget)
             resumed_from = (suspended.steps, suspended.rows_added)
             return outcome, encode_checkpoint(outcome), resumed_from
         except (ValueError, ReproError):
@@ -205,7 +184,6 @@ def run_task(task: QueryTask, budget: Budget, record_trace: bool) -> Dispatched:
         list(task.dependencies),
         task.target,
         budget=budget,
-        record_trace=record_trace,
         checkpoint=True,
         analysis="derive" if task.derive else "auto",
     )
@@ -215,19 +193,18 @@ def run_task(task: QueryTask, budget: Budget, record_trace: bool) -> Dispatched:
 def serial_run(
     tasks: Sequence[QueryTask],
     budget: Budget,
-    record_trace: bool = True,
-    metrics: Optional[MetricsRegistry] = None,
+    metrics: MetricsRegistry,
 ) -> PoolRun:
     """Run every task in-process, one chase each.
 
-    With ``metrics`` given, each dispatch lands in the registry's chase
-    histograms exactly like a pooled one.
+    Each dispatch lands in ``metrics``' chase histograms exactly like a
+    pooled one.
     """
-    instruments = ServiceInstruments(metrics) if metrics is not None else None
+    instruments = ServiceInstruments(metrics)
     run = PoolRun()
     for task in tasks:
         started = time.perf_counter()
-        dispatched = run_task(task, budget, record_trace)
+        dispatched = run_task(task, budget)
         run.collect(
             task.slot, dispatched, time.perf_counter() - started, instruments
         )
@@ -235,19 +212,17 @@ def serial_run(
 
 
 #: What crosses the process boundary: (slot, premises, target, budget,
-#: record_trace, derive_budget, checkpoint JSON or None) outbound and
+#: derive_budget, checkpoint JSON or None) outbound and
 #: (slot, outcome JSON, checkpoint JSON or None, resumed-from counts or
 #: None) back. Premises travel as a pre-serialized JSON *string*:
 #: encoded once per distinct premise tuple, pickled cheaply per
 #: payload, and usable as a worker-side memo key so each worker decodes
 #: a batch's shared premise set once, not once per payload.
-_WirePayload = tuple[int, str, Json, Json, bool, bool, Optional[Json]]
+_WirePayload = tuple[int, str, Json, Json, bool, Optional[Json]]
 
 
 def _encode_payloads(
-    tasks: Sequence[QueryTask],
-    budget: Budget,
-    record_trace: bool,
+    tasks: Sequence[QueryTask], budget: Budget
 ) -> list[_WirePayload]:
     """Encode every task's wire payload.
 
@@ -276,7 +251,6 @@ def _encode_payloads(
                 premises,
                 dependency_to_json(task.target),
                 budget_payload,
-                record_trace,
                 task.derive,
                 task.checkpoint,
             )
@@ -339,15 +313,7 @@ def _execute_payload(
 ) -> tuple[int, Json, Optional[Json], Optional[tuple[int, int]]]:
     """Worker entry point: decode, chase, encode. Must stay module-level
     (and exception-free) so every start method can dispatch to it."""
-    (
-        slot,
-        premises_wire,
-        target_payload,
-        budget_payload,
-        record,
-        derive,
-        checkpoint,
-    ) = payload
+    slot, premises_wire, target_payload, budget_payload, derive, checkpoint = payload
     if faults.fire("worker_kill", slot):
         # Chaos hook: die the way a segfault or the OOM killer would —
         # no exception, no cleanup, just a vanished process.
@@ -360,7 +326,7 @@ def _execute_payload(
         checkpoint=checkpoint,
     )
     outcome, next_checkpoint, resumed_from = run_task(
-        task, budget_from_json(budget_payload), record
+        task, budget_from_json(budget_payload)
     )
     # UNKNOWN payloads cross the process boundary slim: the exhausted
     # chase result can dwarf the chase itself on the wire. The
@@ -412,7 +378,7 @@ class WorkerPool:
     def __init__(
         self,
         workers: int,
-        metrics: Optional[MetricsRegistry] = None,
+        metrics: MetricsRegistry,
         *,
         max_restarts: int = 3,
     ):
@@ -423,9 +389,7 @@ class WorkerPool:
         self.workers = workers
         self.max_restarts = max_restarts
         self._pool: Optional[ProcessPoolExecutor] = None
-        self._instruments = (
-            ServiceInstruments(metrics) if metrics is not None else None
-        )
+        self._instruments = ServiceInstruments(metrics)
 
     def start(self) -> "WorkerPool":
         """Create the worker processes now (idempotent).
@@ -475,7 +439,6 @@ class WorkerPool:
         self,
         tasks: Sequence[QueryTask],
         budget: Budget,
-        record_trace: bool = True,
     ) -> PoolRun:
         """Fan tasks out over the workers, one chase each.
 
@@ -491,7 +454,7 @@ class WorkerPool:
         instruments = self._instruments
         pool = self.start()._pool
         assert pool is not None
-        pending = deque(_encode_payloads(tasks, budget, record_trace))
+        pending = deque(_encode_payloads(tasks, budget))
         failure: Optional[BaseException] = None
         # future -> (payload, submit time): the payload rides along so a
         # crash can re-dispatch exactly what was lost; payloads queue
@@ -508,8 +471,7 @@ class WorkerPool:
         def fail_slot(payload: _WirePayload, reason: str) -> None:
             """Quarantine one payload: its slot answers FAILED."""
             run.quarantined += 1
-            if instruments is not None:
-                instruments.fault_quarantined.inc()
+            instruments.fault_quarantined.inc()
             run.outcomes[payload[0]] = InferenceOutcome(
                 status=InferenceStatus.FAILED,
                 target=dependency_from_json(payload[2]),
@@ -529,8 +491,7 @@ class WorkerPool:
             broken, self._pool = self._pool, None
             if broken is not None:
                 broken.shutdown(wait=False)
-            if instruments is not None:
-                instruments.pool_restarts.inc()
+            instruments.pool_restarts.inc()
             if run.pool_restarts >= self.max_restarts:
                 for payload in suspects + list(pending):
                     fail_slot(
@@ -541,8 +502,7 @@ class WorkerPool:
                 pending.clear()
                 return False
             run.pool_restarts += 1
-            if instruments is not None:
-                instruments.fault_pool_restarts.inc()
+            instruments.fault_pool_restarts.inc()
             for payload in suspects:
                 slot = payload[0]
                 crash_blame[slot] = crash_blame.get(slot, 0) + 1
@@ -555,8 +515,7 @@ class WorkerPool:
                     continue
                 pending.appendleft(payload)
                 run.redispatched += 1
-                if instruments is not None:
-                    instruments.fault_redispatched.inc()
+                instruments.fault_redispatched.inc()
             pool = self.start()._pool
             assert pool is not None
             return True
@@ -576,8 +535,7 @@ class WorkerPool:
                     return
                 now = time.perf_counter()
                 in_flight[future] = (payload, now)
-                if instruments is not None:
-                    instruments.stage["queue_wait"].observe(now - started)
+                instruments.stage["queue_wait"].observe(now - started)
 
         refill()
         while in_flight or failure is not None:

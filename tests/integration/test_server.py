@@ -15,11 +15,13 @@ from repro.chase.budget import Budget
 from repro.chase.engine import replay
 from repro.chase.implication import InferenceStatus, conclusion_satisfied
 from repro.dependencies.parser import parse_td
+from repro.io.json_codec import dependency_to_json
 from repro.service import (
     InferenceService,
     ServerThread,
     ServiceClient,
     ServiceError,
+    ServiceHTTPError,
 )
 from repro.workloads.generators import disguise
 
@@ -148,6 +150,31 @@ class TestEndpoints:
     def test_missing_target_is_400(self, client):
         with pytest.raises(ServiceError, match="400"):
             client.request("POST", "/v1/implies", {"dependencies": []})
+
+    @pytest.mark.parametrize(
+        "budget",
+        [
+            {"max_steps": "abc"},
+            {"max_seconds": "x"},
+            {"max_rows": [1]},
+            {"max_steps": -1},
+        ],
+    )
+    def test_malformed_budget_is_400(self, client, transitivity, budget):
+        """A bad budget axis is the client's error, never a 500, and the
+        server keeps answering valid queries afterwards."""
+        target = parse_td("R(a, b) & R(b, c) -> R(a, c)")
+        body = {
+            "dependencies": [dependency_to_json(transitivity)],
+            "target": dependency_to_json(target),
+            "budget": budget,
+        }
+        with pytest.raises(ServiceHTTPError) as raised:
+            client.request("POST", "/v1/implies", body)
+        assert raised.value.status == 400
+        del body["budget"]
+        answer = client.request("POST", "/v1/implies", body)
+        assert answer["status"] == InferenceStatus.PROVED.value
 
     def test_chunked_transfer_encoding_is_rejected_cleanly(self, server):
         import socket

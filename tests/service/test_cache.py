@@ -323,38 +323,6 @@ class TestUnknownBudgetPolicy:
         assert entry.status is InferenceStatus.PROVED
 
 
-class TestTracePolicy:
-    def test_traceless_proved_is_stale_for_trace_wanting_callers(
-        self, transitivity, provable_target
-    ):
-        bare = implies([transitivity], provable_target, record_trace=False)
-        assert bare.status is InferenceStatus.PROVED
-        cache = ResultCache()
-        cache.record("q", bare, Budget(), traced=False)
-        # A caller content without certificates gets the hit...
-        assert cache.lookup("q", Budget()) is not None
-        # ...but a certificate-wanting caller recomputes.
-        assert cache.lookup("q", Budget(), require_trace=True) is None
-        assert cache.stats.stale == 1
-
-    def test_traceless_service_hit_is_upgraded_by_tracing_service(
-        self, transitivity, provable_target
-    ):
-        from repro.service import InferenceService
-
-        cache = ResultCache()
-        bare = InferenceService(cache, record_trace=False)
-        bare.run_batch([transitivity], [provable_target])
-        full = InferenceService(cache)  # record_trace=True by default
-        report = full.run_batch([transitivity], [provable_target])
-        assert report.stats.cache_hits == 0 and report.stats.executed == 1
-        outcome = report.outcomes[0]
-        assert outcome.chase_result.steps  # certificate present again
-        # And the upgraded entry now serves certificate-wanting callers.
-        warm = full.run_batch([transitivity], [provable_target])
-        assert warm.stats.cache_hits == 1
-
-
 class TestLru:
     def test_eviction_drops_least_recently_used(
         self, transitivity, refutable_target
@@ -422,6 +390,31 @@ class TestDiskStore:
         assert reloaded.lookup("good", Budget()) is not None
         assert "torn" not in reloaded and "partial" not in reloaded
 
+    def test_untraced_lines_miss_after_reload(
+        self, tmp_path, transitivity, provable_target
+    ):
+        """A line written with tracing off (``"traced": false``) holds a
+        proof without a certificate: reload skips it without counting it
+        as torn, and compaction drops it."""
+        from repro.obs.metrics import MetricsRegistry
+
+        path = tmp_path / "cache.jsonl"
+        traced = implies([transitivity], provable_target)
+        bare = implies([transitivity], provable_target, record_trace=False)
+        ResultCache(store=JsonLinesStore(path)).record("good", traced, Budget())
+        line = ResultCache().record("bare", bare, Budget()).to_json()
+        with path.open("a") as handle:
+            handle.write(json.dumps(dict(line, traced=False)) + "\n")
+        registry = MetricsRegistry()
+        reloaded = ResultCache(store=JsonLinesStore(path)).bind_metrics(registry)
+        assert reloaded.lookup("bare", Budget()) is None
+        assert reloaded.stats.misses == 1
+        assert reloaded.lookup("good", Budget()) is not None
+        assert "repro_cache_torn_lines_total 0" in registry.render_prometheus()
+        assert reloaded.close(force_compact=True) is True
+        lines = path.read_text().splitlines()
+        assert [json.loads(each)["fingerprint"] for each in lines] == ["good"]
+
     def test_unknown_never_demotes_a_decisive_verdict(
         self, tmp_path, transitivity, provable_target
     ):
@@ -458,7 +451,7 @@ class TestCompaction:
     def _cache_state(self, cache):
         """Everything staleness and serving read, per fingerprint."""
         return {
-            fingerprint: (entry.status, entry.traced, entry.budgets)
+            fingerprint: (entry.status, entry.budgets)
             for fingerprint, entry in cache._entries.items()
         }
 

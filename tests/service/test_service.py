@@ -3,13 +3,18 @@
 import pytest
 
 from repro.chase.budget import Budget
-from repro.chase.implication import InferenceStatus, implies_all
+from repro.chase.engine import replay
+from repro.chase.implication import (
+    InferenceStatus,
+    conclusion_satisfied,
+    implies_all,
+)
+from repro.obs.metrics import MetricsRegistry
 from repro.service import (
     InferenceService,
     QueryTask,
     ResultCache,
     WorkerPool,
-    divide_budget,
     serial_run,
 )
 from repro.dependencies import canonical
@@ -99,6 +104,25 @@ class TestDedupAndCache:
         assert [row["source"] for row in trace.queries] == ["resume"]
 
     @pytest.mark.parametrize("workers", [0, 1])
+    def test_resumed_proof_replays(self, workers):
+        """A PROVED resumed from a stale UNKNOWN's checkpoint carries the
+        whole trace, the checkpoint's prefix included: it replays from
+        the frozen target and derives the conclusion."""
+        transitivity = parse_td("R(x, y) & R(y, z) -> R(x, z)")
+        target = parse_td("R(a, b) & R(b, c) & R(c, d) & R(d, e) -> R(a, e)")
+        with InferenceService(workers=workers) as service:
+            service.run_batch([transitivity], [target], budget=Budget(max_steps=2))
+            bigger = service.run_batch(
+                [transitivity], [target], budget=Budget(max_steps=500)
+            )
+        assert bigger.stats.resumed == 1
+        outcome = bigger.outcomes[0]
+        assert outcome.status is InferenceStatus.PROVED
+        start, frozen = outcome.target.freeze()
+        final = replay(start, outcome.chase_result.steps, verify=True)
+        assert conclusion_satisfied(final, outcome.target, frozen)
+
+    @pytest.mark.parametrize("workers", [0, 1])
     def test_resume_counts_only_the_work_past_its_checkpoint(self, workers):
         transitivity = parse_td("R(x, y) & R(y, z) -> R(x, z)")
         target = parse_td("R(a, b) & R(b, c) & R(c, d) & R(d, e) -> R(a, e)")
@@ -173,9 +197,6 @@ class TestWorkerPool:
         ]
 
     def test_pooled_proof_traces_replay(self):
-        from repro.chase.engine import replay
-        from repro.chase.implication import conclusion_satisfied
-
         transitivity = parse_td("R(x, y) & R(y, z) -> R(x, z)")
         target = parse_td("R(a, b) & R(b, c) & R(c, d) -> R(a, d)")
         with InferenceService(workers=1) as service:
@@ -201,7 +222,7 @@ class TestWorkerPoolLifecycle:
         ]
 
     def test_pool_is_reused_across_batches(self, tasks):
-        with WorkerPool(1) as pool:
+        with WorkerPool(1, MetricsRegistry()) as pool:
             first = pool.run(tasks, Budget(max_steps=500))
             # The worker processes survive between run() calls.
             second = pool.run(tasks, Budget(max_steps=500))
@@ -212,7 +233,7 @@ class TestWorkerPoolLifecycle:
             )
 
     def test_close_is_idempotent_and_pool_restartable(self, tasks):
-        pool = WorkerPool(1)
+        pool = WorkerPool(1, MetricsRegistry())
         first = pool.run(tasks, Budget(max_steps=500))
         pool.close()
         pool.close()
@@ -225,7 +246,7 @@ class TestWorkerPoolLifecycle:
 
     def test_rejects_zero_workers(self):
         with pytest.raises(ValueError):
-            WorkerPool(0)
+            WorkerPool(0, MetricsRegistry())
 
     def test_dead_worker_is_contained_within_the_batch(self, tasks):
         """A killed worker must not wedge OR fail the batch: the pool is
@@ -234,7 +255,7 @@ class TestWorkerPoolLifecycle:
         this)."""
         import os
 
-        pool = WorkerPool(1).start()
+        pool = WorkerPool(1, MetricsRegistry()).start()
         try:
             # Kill the worker out from under the executor.
             pool._pool.submit(os._exit, 13).exception(timeout=30)
@@ -292,58 +313,9 @@ class TestScheduler:
         transitivity = parse_td("R(x, y) & R(y, z) -> R(x, z)")
         target = parse_td("R(a, b) & R(b, c) -> R(a, c)")
         task = QueryTask(slot=0, dependencies=(transitivity,), target=target)
-        run = serial_run([task], Budget(max_steps=500))
+        run = serial_run([task], Budget(max_steps=500), MetricsRegistry())
         assert run.outcomes[0].status is InferenceStatus.PROVED
         assert run.resumed == set()
-
-    def test_divide_budget(self):
-        shared = Budget(max_steps=100, max_rows=10, max_seconds=8.0)
-        per_query = divide_budget(shared, 4)
-        assert per_query.max_steps == 25
-        assert per_query.max_rows == 2
-        assert per_query.max_seconds == 2.0
-
-    def test_divide_budget_floors_at_one(self):
-        per_query = divide_budget(Budget(max_steps=2, max_rows=None), 10)
-        assert per_query.max_steps == 1
-        assert per_query.max_rows is None
-
-    def test_share_budget_divides_across_misses(self):
-        transitivity = parse_td("R(x, y) & R(y, z) -> R(x, z)")
-        targets = [
-            parse_td("R(a, b) & R(b, c) & R(c, d) & R(d, e) -> R(a, e)"),
-            parse_td("R(p, q) & R(q, r) & R(r, s) & R(s, t) & R(t, u) -> R(p, u)"),
-        ]
-        # 4 whole-batch steps over 2 misses = 2 steps each: both starve.
-        shared = InferenceService(share_budget=True)
-        starved = shared.run_batch(
-            [transitivity], targets, budget=Budget(max_steps=4)
-        )
-        assert all(
-            o.status is InferenceStatus.UNKNOWN for o in starved.outcomes
-        )
-        # A generous per-query budget decides both.
-        per_query = InferenceService()
-        decided = per_query.run_batch(
-            [transitivity], targets, budget=Budget(max_steps=200)
-        )
-        assert all(o.status is InferenceStatus.PROVED for o in decided.outcomes)
-
-    def test_share_budget_unknowns_hit_cache_on_identical_reruns(self):
-        diverging = parse_td("R(x, y) -> R(y, z)")
-        targets = [
-            parse_td("R(a, b) -> R(b, a)"),
-            parse_td("R(p, q) -> R(q, q)"),
-        ]
-        service = InferenceService(share_budget=True)
-        budget = Budget(max_steps=10)
-        first = service.run_batch([diverging], targets, budget=budget)
-        assert all(o.status is InferenceStatus.UNKNOWN for o in first.outcomes)
-        # Identical re-run: the cached UNKNOWNs were computed under the
-        # same division, so they must be served, not eternally re-chased.
-        second = service.run_batch([diverging], targets, budget=budget)
-        assert second.stats.cache_hits == len(targets)
-        assert second.stats.executed == 0
 
 
 class TestCliBatch:
