@@ -1,4 +1,4 @@
-"""E12 — the HTTP server: serial vs micro-batched vs warm-cache over the wire.
+"""E12 — the HTTP server: per-run vs group-commit vs warm-cache over the wire.
 
 Boots real ``repro serve`` subprocesses on ephemeral localhost ports (so
 client and server measure across a process boundary, the way deployments
@@ -7,13 +7,14 @@ queries are budget-bounded UNKNOWNs — the paper's undecidability made
 servable:
 
 * **one-request-per-run** — concurrent client threads against a
-  ``--window-ms 0`` server: every request is its own
+  ``--max-batch 1`` server: every request is its own
   ``InferenceService.run``, and a single-task run can never use the
   worker pool's parallelism;
-* **micro-batched** — the same concurrent load against a windowed
-  server: requests landing together coalesce into shared runs, so
-  canonical dedup collapses duplicates *across clients* before any
-  chase starts, and each coalesced run fans its misses over the worker
+* **group commit** — the same concurrent load against a default
+  server: no timer, a request that finds the server idle runs at once,
+  and the requests that queue while a run is busy share the next run,
+  so canonical dedup collapses duplicates *across clients* before any
+  chase starts, and each shared run fans its misses over the worker
   pool — on a multi-core host the chase work that the per-run regime
   serializes runs ``--workers``-wide;
 * **warm cache** — a second client re-issues the whole workload
@@ -23,7 +24,7 @@ servable:
   through ``/v1/stats``.
 
 Run with ``--quick`` for a smoke-sized workload (CI); the throughput
-assertion (micro-batched beats serial) is enforced only at full size,
+assertion (group commit beats per-run) is enforced only at full size,
 where the margin is far above scheduler noise.
 """
 
@@ -47,7 +48,7 @@ from repro.workloads.generators import disguise, transitivity_family
 
 from conftest import record
 
-EXPERIMENT = "E12 / HTTP server: serial vs micro-batched vs warm cache"
+EXPERIMENT = "E12 / HTTP server: per-run vs group commit vs warm cache"
 
 #: Per-query budget: unprovable targets under the diverging premise set
 #: burn exactly this much chase before their honest UNKNOWN.
@@ -139,8 +140,8 @@ def test_server_throughput_and_cross_client_cache(workload, quick):
         with ThreadPoolExecutor(max_workers=client_threads) as executor:
             return list(executor.map(one_request, targets))
 
-    # --- one-request-per-run: window off, same concurrent load ---------
-    with ServeSubprocess("--window-ms", "0", "--workers", workers) as serial_server:
+    # --- one-request-per-run: --max-batch 1, same concurrent load ------
+    with ServeSubprocess("--max-batch", "1", "--workers", workers) as serial_server:
         serial_verdicts, serial_seconds = _timed(
             f"per-run dispatch, {client_threads} client threads",
             lambda: dispatch_against(serial_server.base_url),
@@ -153,17 +154,17 @@ def test_server_throughput_and_cross_client_cache(workload, quick):
         f"{serial_stats['server']['executed']} chased",
     )
 
-    # --- micro-batched: coalescing window, same concurrent load --------
-    with ServeSubprocess("--window-ms", "5", "--workers", workers) as batched_server:
+    # --- group commit: default server, same concurrent load ------------
+    with ServeSubprocess("--workers", workers) as batched_server:
         batched_verdicts, batched_seconds = _timed(
-            f"micro-batched, {client_threads} client threads",
+            f"group commit, {client_threads} client threads",
             lambda: dispatch_against(batched_server.base_url),
         )
         observer = ServiceClient(batched_server.base_url)
         mid_stats = observer.stats()
         record(
             EXPERIMENT,
-            f"  coalesced into {mid_stats['server']['batches']} run(s); "
+            f"  shared {mid_stats['server']['batches']} run(s); "
             f"dedup+cache answered "
             f"{mid_stats['server']['deduplicated'] + mid_stats['server']['cache_hits']}"
             f"/{mid_stats['server']['queries']}",
@@ -202,17 +203,17 @@ def test_server_throughput_and_cross_client_cache(workload, quick):
         f"speedup over serial {serial_seconds / max(warm_seconds, 1e-9):.0f}x",
     )
 
-    # Micro-batching coalesced: strictly fewer runs than requests, and
-    # no more chases than the per-run regime (coalescing dedups the
+    # Group commit shared runs: strictly fewer runs than requests, and
+    # no more chases than the per-run regime (a shared run dedups the
     # concurrent duplicates the per-run server re-chases).
     assert mid_stats["server"]["batches"] < mid_stats["server"]["queries"]
     assert (
         mid_stats["server"]["executed"] <= serial_stats["server"]["executed"]
     )
 
-    # The acceptance bar: coalesced concurrent dispatch (shared runs,
+    # The acceptance bar: group-commit dispatch (shared runs,
     # cross-client dedup, pool parallelism) beats one-request-per-run
-    # dispatch. The wall-clock edge comes from running each coalesced
+    # dispatch. The wall-clock edge comes from running each shared
     # run's misses --workers wide, so it is only enforced where the
     # hardware can express it: full-size runs on a multi-core host (a
     # single-core box serializes both regimes into near-parity, and the
@@ -220,7 +221,7 @@ def test_server_throughput_and_cross_client_cache(workload, quick):
     cores = os.cpu_count() or 1
     record(
         EXPERIMENT,
-        f"  per-run {serial_seconds * 1000:.0f} ms vs micro-batched "
+        f"  per-run {serial_seconds * 1000:.0f} ms vs group commit "
         f"{batched_seconds * 1000:.0f} ms on {cores} core(s)",
     )
     if not quick and cores >= 2:

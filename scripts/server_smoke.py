@@ -3,9 +3,10 @@
 
 Exercises the full deployment path — console entry point, ephemeral-port
 binding, banner parsing, ``/healthz``, one ``/v1/batch`` over real HTTP,
-the ``/metrics`` Prometheus exposition, a ``/v1/trace`` round trip and a
-malformed client budget (400, then a valid query still answers) — and
-exits non-zero on any failure. Run from the repository root::
+concurrent ``/v1/implies`` requests through the group-commit batching
+loop, the ``/metrics`` Prometheus exposition, a ``/v1/trace`` round trip
+and a malformed client budget (400, then a valid query still answers) —
+and exits non-zero on any failure. Run from the repository root::
 
     PYTHONPATH=src python scripts/server_smoke.py
 """
@@ -13,6 +14,7 @@ exits non-zero on any failure. Run from the repository root::
 from __future__ import annotations
 
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -27,7 +29,7 @@ from repro.service.testing import ServeSubprocess  # noqa: E402
 
 
 def main() -> int:
-    with ServeSubprocess("--window-ms", "5") as server:
+    with ServeSubprocess() as server:
         print(f"server banner: {server.banner.strip()}")
         client = ServiceClient(server.base_url, timeout=30.0)
 
@@ -55,6 +57,31 @@ def main() -> int:
         assert stats["server"]["queries"] == 2, stats
         assert "metrics" in stats, "stats payload lost the registry snapshot"
         print(f"server stats: {stats['server']}")
+
+        # Concurrent clients: each verdict is right, and runs never
+        # outnumber the queries they answered.
+        concurrent = [
+            ("R(a, b) & R(b, c) -> R(a, c)", InferenceStatus.PROVED),
+            ("R(u, v) & R(v, w) & R(w, t) -> R(u, t)", InferenceStatus.PROVED),
+            ("R(a, b) -> R(b, a)", InferenceStatus.DISPROVED),
+            ("R(a, b) & R(b, c) -> R(c, a)", InferenceStatus.DISPROVED),
+        ]
+        with ThreadPoolExecutor(max_workers=len(concurrent)) as executor:
+            statuses = list(
+                executor.map(
+                    lambda case: ServiceClient(server.base_url).implies(
+                        [transitivity], parse_td(case[0]), certificates=False
+                    ).status,
+                    concurrent,
+                )
+            )
+        assert statuses == [expected for _, expected in concurrent], statuses
+        stats = client.stats()["server"]
+        assert stats["batches"] <= stats["queries"], stats
+        print(
+            f"concurrent implies: {len(statuses)} right verdicts; "
+            f"{stats['batches']} runs for {stats['queries']} queries"
+        )
 
         # /v1/trace: the batch's trace must be retrievable and show the
         # pipeline's stage timeline.

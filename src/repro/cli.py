@@ -9,7 +9,7 @@ Commands:
   per-target verdict table plus cache/dedup statistics out, with an
   optional worker pool and on-disk result cache.
 * ``serve`` — the long-lived asyncio HTTP server over the same service:
-  concurrent clients are micro-batched into shared runs, so dedup and
+  concurrent clients share runs by group commit, so dedup and
   the result cache work across clients.
 * ``stats`` — poll a running server's ``/v1/stats`` and render the
   counters and per-stage latency histograms as tables (``--watch`` for
@@ -101,7 +101,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     serve_cmd = commands.add_parser(
         "serve",
-        help="long-lived HTTP inference server (asyncio, micro-batching)",
+        help="long-lived HTTP inference server (asyncio, group-commit batching)",
     )
     serve_cmd.add_argument("--host", default="127.0.0.1")
     serve_cmd.add_argument(
@@ -119,16 +119,10 @@ def _build_parser() -> argparse.ArgumentParser:
         help="JSON-lines disk cache tier; verdicts survive restarts",
     )
     serve_cmd.add_argument(
-        "--window-ms",
-        type=float,
-        default=10.0,
-        help="micro-batch coalescing window (milliseconds; 0 disables)",
-    )
-    serve_cmd.add_argument(
         "--max-batch",
         type=int,
         default=64,
-        help="cap on queries coalesced into one run",
+        help="cap on queries in one run (1 = one request per run)",
     )
     serve_cmd.add_argument(
         "--max-steps",
@@ -375,11 +369,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if args.workers < 0:
         print("error: --workers must be >= 0", file=sys.stderr)
         return EXIT_USAGE
-    if args.window_ms < 0 or args.max_batch < 1:
-        print(
-            "error: --window-ms must be >= 0 and --max-batch >= 1",
-            file=sys.stderr,
-        )
+    if args.max_batch < 1:
+        print("error: --max-batch must be >= 1", file=sys.stderr)
         return EXIT_USAGE
     if args.max_models < 1:
         print("error: --max-models must be >= 1", file=sys.stderr)
@@ -401,7 +392,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         service,
         host=args.host,
         port=args.port,
-        batch_window=args.window_ms / 1000.0,
         max_batch=args.max_batch,
         default_budget=Budget(
             max_steps=args.max_steps,
@@ -417,7 +407,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         await server.start()
         print(
             f"repro serve: listening on http://{server.host}:{server.port} "
-            f"(workers={args.workers}, window={args.window_ms:g}ms, "
+            f"(workers={args.workers}, "
             f"cache={'disk:' + args.cache_path if args.cache_path else 'memory'})",
             flush=True,
         )

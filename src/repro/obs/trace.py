@@ -2,7 +2,8 @@
 
 Every query entering the serving pipeline is tagged with a **trace ID**
 (client-supplied through the wire format, or generated server-side).
-When the batch it coalesced into finishes, the
+When the run it joined finishes (the server batches by group commit: a
+run takes every query that queued while the previous run was busy), the
 :class:`~repro.service.api.InferenceService` stores one
 :class:`RunTrace` per distinct trace ID in its :class:`TraceBuffer`: the
 batch's stage-level :class:`Span` timeline (canonicalize → cache lookup
@@ -64,7 +65,7 @@ class RunTrace:
     """One request's view of the batch run that answered it.
 
     ``spans`` is the batch-level stage timeline (shared by every request
-    the batch coalesced); ``queries`` holds only *this* trace's queries.
+    the run answered); ``queries`` holds only *this* trace's queries.
     ``batch`` summarizes what the whole run did, so a request that was a
     pure cache hit can still see that it shared its run with real chases.
     """

@@ -16,7 +16,7 @@ must fan out across cores. This package layers exactly that on top of
 * :mod:`repro.service.api` — the :class:`InferenceService` facade with
   ``submit()`` / ``run()`` / ``run_batch()``;
 * :mod:`repro.service.server` — a long-lived stdlib-asyncio HTTP
-  front-end that micro-batches concurrent clients into shared
+  front-end that batches concurrent clients into shared
   :meth:`InferenceService.run` calls;
 * :mod:`repro.service.client` — the synchronous :class:`ServiceClient`
   speaking the server's ``repro.io.json_codec`` wire format;

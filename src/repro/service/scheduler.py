@@ -10,8 +10,8 @@ result cache stores.
 
 **Persistent pool**: :class:`WorkerPool` owns long-lived worker
 processes with a submit/drain scheduler, so callers that dispatch many
-batches (the batch CLI looping over files, the HTTP server coalescing
-micro-batches) pay the fork cost once, not per batch.
+batches (the batch CLI looping over files, the HTTP server's shared
+runs) pay the fork cost once, not per batch.
 
 **One dispatch path**: :func:`serial_run` and the pool's workers both
 chase through :func:`run_task`. A task carrying a stale UNKNOWN's
@@ -344,7 +344,7 @@ class WorkerPool:
 
     Worker processes are created lazily on first use (:meth:`start`
     forces it) and reused across :meth:`run` calls until :meth:`close`,
-    so repeated batches — the HTTP server's micro-batches, a CLI loop —
+    so repeated batches — the HTTP server's shared runs, a CLI loop —
     amortize process startup instead of re-forking per batch. The
     backend is :class:`concurrent.futures.ProcessPoolExecutor` rather
     than ``multiprocessing.Pool`` because a killed worker (OOM,

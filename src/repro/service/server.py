@@ -1,10 +1,11 @@
 """A long-lived asyncio HTTP front-end over :class:`InferenceService`.
 
 The server makes budget-bounded verdicts — including first-class
-UNKNOWNs — servable to many concurrent clients: requests landing within
-a configurable coalescing window (default 10 ms) are micro-batched into
-*one* :meth:`InferenceService.run` call, so canonical deduplication and
-the shared :class:`~repro.service.cache.ResultCache` (optionally disk
+UNKNOWNs — servable to many concurrent clients. Runs are batched by
+group commit: a query that finds the server idle runs at once, and the
+queries that arrive while a run is busy share the next
+:meth:`InferenceService.run` call, so canonical deduplication and the
+shared :class:`~repro.service.cache.ResultCache` (optionally disk
 backed) work *across clients*, not just within one request's batch. Two
 clients submitting alpha-renamed copies of the same query cost one
 chase.
@@ -46,7 +47,7 @@ pending queue are touched by a single thread), and with ``workers > 0``
 fan out further over the service's persistent
 :class:`~repro.service.scheduler.WorkerPool`. Because runs execute one
 at a time, duplicate concurrent misses never race each other: a
-duplicate either coalesces into its original's run (deduplicated) or
+duplicate either shares its original's run (deduplicated) or
 arrives after the verdict was recorded (cache hit) — never a second
 chase of the same fingerprint.
 
@@ -65,6 +66,7 @@ import threading
 import time
 import urllib.parse
 import warnings
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
@@ -126,7 +128,7 @@ class ServerStats:
 
 @dataclass
 class _QueuedQuery:
-    """One client query waiting for the micro-batching loop.
+    """One client query waiting for the batching loop.
 
     ``budget`` is always resolved (request budget clamped into the
     server ceiling, or the ceiling itself) before queueing. ``derive``
@@ -214,15 +216,16 @@ class _DropConnection(Exception):
 class InferenceServer:
     """The asyncio HTTP server; one instance owns one listening socket.
 
-    * ``batch_window`` — how long (seconds) the micro-batching loop
-      waits after the first queued query for more to coalesce. 0 turns
-      coalescing off entirely: every query gets its own ``run``
-      (benchmark E12's one-request-per-run control). Runs stay
-      serialized either way, so even at 0 a concurrent duplicate of an
-      in-flight miss is answered by the cache, never chased twice; what
-      the window buys is shared runs — cross-client dedup *within* one
-      run and pool-wide fan-out of each run's misses.
-    * ``max_batch`` — cap on queries coalesced into one ``run``.
+    Runs are batched by group commit, with no timer: a query that
+    finds the server idle runs at once, and everything queued while a
+    run is busy shares the next one — cross-client dedup *within* a run
+    and pool-wide fan-out of its misses. Runs are serialized, so a
+    concurrent duplicate of an in-flight miss is answered by the cache,
+    never chased twice.
+
+    * ``max_batch`` — cap on queries in one ``run``. A request of up to
+      ``max_batch`` targets is never split across runs; 1 gives every
+      request its own run (benchmark E12's control).
     * ``default_budget`` — used for requests that carry no ``budget``,
       and the *ceiling* for requests that do: a client budget is
       clamped axis-wise into it (requests can only narrow the work, so
@@ -253,7 +256,6 @@ class InferenceServer:
         *,
         host: str = "127.0.0.1",
         port: int = 8765,
-        batch_window: float = 0.010,
         max_batch: int = 64,
         default_budget: Optional[Budget] = None,
         read_timeout: float = 30.0,
@@ -261,8 +263,6 @@ class InferenceServer:
         max_queue: int = 256,
         drain_timeout: float = 5.0,
     ):
-        if batch_window < 0:
-            raise ValueError("batch_window must be >= 0")
         if max_batch < 1:
             raise ValueError("max_batch must be positive")
         if read_timeout <= 0:
@@ -274,7 +274,6 @@ class InferenceServer:
         self.service = service if service is not None else InferenceService()
         self.host = host
         self.port = port  # rewritten to the bound port by start()
-        self.batch_window = batch_window
         self.max_batch = max_batch
         self.default_budget = (
             default_budget if default_budget is not None else Budget()
@@ -319,12 +318,14 @@ class InferenceServer:
             "Seconds since the server started",
             fn=lambda: time.monotonic() - self.started_at,
         )
-        self._queue: Optional["asyncio.Queue[_QueuedQuery]"] = None
+        # Admitted requests no run has taken yet, as chunks of at most
+        # max_batch queries.
+        self._pending: deque[list[_QueuedQuery]] = deque()
+        self._arrival: Optional[asyncio.Event] = None
         self._server: Optional[asyncio.base_events.Server] = None
         self._batcher: Optional["asyncio.Task"] = None
         self._stopping = False
-        # True while the batching loop holds popped queries (collecting
-        # a window or running a batch) — work the queue no longer shows.
+        # True while a run holds queries taken off _pending.
         self._busy = False
         # Connection handlers currently alive. stop()'s drain waits on
         # this too: a verdict computed but not yet written back is as
@@ -337,13 +338,10 @@ class InferenceServer:
     # ------------------------------------------------------------------
 
     async def start(self) -> "InferenceServer":
-        """Bind the socket and start the micro-batching loop."""
+        """Bind the socket and start the batching loop."""
         self.service.warm_up()  # fork workers before any executor thread
         self._stopping = False
-        # The queue object is unbounded; _submit enforces max_queue
-        # up front so a multi-target request is admitted or shed as a
-        # unit (a bounded queue's put_nowait could land half a batch).
-        self._queue = asyncio.Queue()
+        self._arrival = asyncio.Event()
         self._batcher = asyncio.get_running_loop().create_task(
             self._batch_loop()
         )
@@ -379,9 +377,7 @@ class InferenceServer:
             loop = asyncio.get_running_loop()
             deadline = loop.time() + self.drain_timeout
             while loop.time() < deadline and (
-                self._busy
-                or self._connections > 0
-                or (self._queue is not None and not self._queue.empty())
+                self._busy or self._connections > 0 or self._pending
             ):
                 await asyncio.sleep(0.005)
         if self._server is not None:
@@ -393,59 +389,52 @@ class InferenceServer:
             with contextlib.suppress(asyncio.CancelledError):
                 await self._batcher
             self._batcher = None
-        if self._queue is not None:
-            while not self._queue.empty():
-                query = self._queue.get_nowait()
+        while self._pending:
+            for query in self._pending.popleft():
                 if not query.future.done():
                     query.future.cancel()
 
     # ------------------------------------------------------------------
-    # Micro-batching
+    # Group commit
     # ------------------------------------------------------------------
 
+    @property
+    def _queued(self) -> int:
+        """Queries admitted that no run has taken yet."""
+        return sum(len(chunk) for chunk in self._pending)
+
     async def _batch_loop(self) -> None:
-        """Coalesce queued queries into shared InferenceService runs."""
-        assert self._queue is not None
-        loop = asyncio.get_running_loop()
+        """Group commit: each run takes what queued while the last ran.
+
+        Whole queued chunks join a run while they fit in ``max_batch``
+        queries, so a request that fits in one run is never split.
+        """
+        assert self._arrival is not None
         while True:
-            batch = [await self._queue.get()]
-            self._busy = True  # popped queries are invisible to qsize()
-            try:
-                if self.batch_window > 0:
-                    # No waiting while draining: stop() is waiting on
-                    # this loop, and no new queries are being admitted
-                    # for a window to collect anyway.
-                    if not self._stopping:
-                        deadline = loop.time() + self.batch_window
-                        while len(batch) < self.max_batch:
-                            remaining = deadline - loop.time()
-                            if remaining <= 0:
-                                break
-                            try:
-                                batch.append(
-                                    await asyncio.wait_for(
-                                        self._queue.get(), remaining
-                                    )
-                                )
-                            except asyncio.TimeoutError:
-                                break
-                    # Whatever queued while the window ran joins free.
-                    while len(batch) < self.max_batch and not self._queue.empty():
-                        batch.append(self._queue.get_nowait())
-                await self._execute_batch(batch)
-            except asyncio.CancelledError:
-                # Shutdown mid-collection/mid-run: the popped queries are
-                # in this local batch, not the queue — resolve their
-                # waiters so no connection handler hangs.
-                for query in batch:
-                    if not query.future.done():
-                        query.future.cancel()
-                raise
-            finally:
-                self._busy = False
+            await self._arrival.wait()
+            self._arrival.clear()
+            while self._pending:
+                batch = self._pending.popleft()
+                while self._pending and (
+                    len(batch) + len(self._pending[0]) <= self.max_batch
+                ):
+                    batch += self._pending.popleft()
+                self._busy = True
+                try:
+                    await self._execute_batch(batch)
+                except asyncio.CancelledError:
+                    # Shutdown mid-run: the taken queries are in this
+                    # local batch, not _pending — resolve their waiters
+                    # so no connection handler hangs.
+                    for query in batch:
+                        if not query.future.done():
+                            query.future.cancel()
+                    raise
+                finally:
+                    self._busy = False
 
     async def _execute_batch(self, batch: list[_QueuedQuery]) -> None:
-        """Run one coalesced batch, grouped by budget, on the executor."""
+        """Run one group-commit batch, grouped by budget, on the executor."""
         loop = asyncio.get_running_loop()
         # Budget is a frozen dataclass: hashable, and the derive flag is
         # a second grouping axis — budget-free queries (eligible for
@@ -528,40 +517,37 @@ class InferenceServer:
         Also the single choke point for *admission*: a draining server
         refuses with 503, a backlogged one sheds with 429 — atomically
         for all of a request's targets (no event-loop yield between the
-        capacity check and the puts), so a batch is admitted whole or
-        not at all.
+        capacity check and the queueing), so a batch is admitted whole
+        or not at all.
         """
-        assert self._queue is not None
+        assert self._arrival is not None
         if self._stopping:
             raise _Rejected(
                 503, "server is draining", self.RETRY_AFTER_SECONDS
             )
-        if self._queue.qsize() + len(targets) > self.max_queue:
+        if self._queued + len(targets) > self.max_queue:
             self.stats.shed += 1
             self._shed_metric.inc()
             raise _Rejected(
                 429,
                 f"admission queue is full "
-                f"({self._queue.qsize()}/{self.max_queue} queued)",
+                f"({self._queued}/{self.max_queue} queued)",
                 self.RETRY_AFTER_SECONDS,
             )
         derive = budget is None
         budget = self._effective_budget(budget)
         loop = asyncio.get_running_loop()
-        futures: list["asyncio.Future[BatchItem]"] = []
-        for target in targets:
-            future: "asyncio.Future[BatchItem]" = loop.create_future()
-            futures.append(future)
-            # put_nowait: the queue object is unbounded (the capacity
-            # check above is the bound), and not yielding keeps the
-            # check-then-put sequence atomic on the event loop.
-            self._queue.put_nowait(
-                _QueuedQuery(
-                    dependencies, target, budget, future, trace_id, derive
-                )
+        queries = [
+            _QueuedQuery(
+                dependencies, target, budget, loop.create_future(), trace_id, derive
             )
-        self.stats.queries += len(futures)
-        return list(await asyncio.gather(*futures))
+            for target in targets
+        ]
+        for start in range(0, len(queries), self.max_batch):
+            self._pending.append(queries[start : start + self.max_batch])
+        self._arrival.set()
+        self.stats.queries += len(queries)
+        return list(await asyncio.gather(*(query.future for query in queries)))
 
     # ------------------------------------------------------------------
     # HTTP layer
@@ -854,7 +840,7 @@ class InferenceServer:
                 {"status": "draining"},
                 {"Retry-After": str(self.RETRY_AFTER_SECONDS)},
             )
-        if self._batcher is None or self._queue is None:
+        if self._batcher is None:
             return (
                 503,
                 {"status": "starting"},
@@ -862,7 +848,7 @@ class InferenceServer:
             )
         return 200, {
             "status": "ready",
-            "queued": self._queue.qsize(),
+            "queued": self._queued,
             "max_queue": self.max_queue,
         }
 
@@ -883,11 +869,10 @@ class InferenceServer:
                 "load_evictions": cache.stats.load_evictions,
             },
             "batching": {
-                "window_seconds": self.batch_window,
                 "max_batch": self.max_batch,
                 "workers": self.service.workers,
                 "default_budget": budget_to_json(self.default_budget),
-                "queued": self._queue.qsize() if self._queue else 0,
+                "queued": self._queued,
                 "max_queue": self.max_queue,
             },
             "models": {

@@ -30,7 +30,7 @@ class ServeSubprocess:
     appears, and exposes :attr:`base_url`. Use as a context manager for
     teardown::
 
-        with ServeSubprocess("--window-ms", "5") as server:
+        with ServeSubprocess("--workers", "2") as server:
             client = ServiceClient(server.base_url)
     """
 

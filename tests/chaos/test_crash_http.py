@@ -45,7 +45,7 @@ class TestWorkerKill:
         # starts so the pool initializer ships the spec to workers.
         arm_fault("worker_kill", "*", latch=True)
         service = InferenceService(workers=2)
-        with ServerThread(service, batch_window=0.02) as handle:
+        with ServerThread(service) as handle:
             client = ServiceClient(handle.base_url)
             answer = client.batch(
                 [transitivity()], [chain(n) for n in range(2, 7)]
@@ -68,7 +68,7 @@ class TestWorkerKill:
         # outcome asserting nothing about D |= d — not as an HTTP 500.
         arm_fault("worker_kill", "*")
         service = InferenceService(workers=1)
-        with ServerThread(service, batch_window=0.0) as handle:
+        with ServerThread(service) as handle:
             client = ServiceClient(handle.base_url)
             verdict = client.implies([transitivity()], chain(2))
             assert verdict.status is InferenceStatus.FAILED
@@ -82,7 +82,7 @@ class TestWorkerKill:
     ):
         latch = arm_fault("worker_kill", "*")  # persistent while armed
         service = InferenceService(workers=1)
-        with ServerThread(service, batch_window=0.0) as handle:
+        with ServerThread(service) as handle:
             client = ServiceClient(handle.base_url)
             assert (
                 client.implies([transitivity()], chain(3)).status
@@ -101,7 +101,7 @@ class TestRestartBudget:
     def test_zero_restart_budget_fails_fast_without_raising(self, arm_fault):
         arm_fault("worker_kill", "*", latch=True)
         service = InferenceService(workers=1, max_restarts=0)
-        with ServerThread(service, batch_window=0.0) as handle:
+        with ServerThread(service) as handle:
             client = ServiceClient(handle.base_url)
             verdict = client.implies([transitivity()], chain(2))
             # Budget exhausted on the first crash: FAILED, not a 500.

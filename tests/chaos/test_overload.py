@@ -142,11 +142,12 @@ class TestReadiness:
 
 
 class TestDrain:
-    def test_stop_answers_inflight_queries_instead_of_cancelling(self):
+    def test_stop_answers_inflight_queries_instead_of_cancelling(
+        self, run_gate
+    ):
         service = InferenceService()
-        handle = ServerThread(
-            service, batch_window=0.3, drain_timeout=20.0
-        ).start()
+        handle = ServerThread(service, drain_timeout=20.0).start()
+        gate = run_gate(handle.server)
         client = ServiceClient(handle.base_url)
         answers: dict = {}
 
@@ -160,11 +161,19 @@ class TestDrain:
 
         thread = threading.Thread(target=call)
         thread.start()
-        # Let the query be admitted into the (wide) coalescing window,
-        # then stop: drain must run the batch and answer it.
-        time.sleep(0.1)
-        handle.stop()
+        # Hold the query's run busy, then begin stop(): the drain must
+        # wait for the held run and answer it, not cancel it.
+        assert gate.entered.wait(timeout=30)
+        stopper = threading.Thread(target=handle.stop)
+        stopper.start()
+        deadline = time.monotonic() + 30
+        while not handle.server._stopping:
+            assert time.monotonic() < deadline, "stop() never began"
+            time.sleep(0.005)
+        gate.release.set()
+        stopper.join(timeout=30)
         thread.join(timeout=30)
+        assert not stopper.is_alive()
         assert not thread.is_alive()
         assert "error" not in answers, answers.get("error")
         assert answers["verdict"].status is InferenceStatus.PROVED

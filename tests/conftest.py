@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import threading
+import time
+
 import pytest
 
 from repro.kernel.backend import join_backend_override, native_available
@@ -87,3 +90,56 @@ def positive_encoding(positive) -> ReductionEncoding:
 @pytest.fixture(scope="session")
 def negative_encoding(negative) -> ReductionEncoding:
     return encode(negative)
+
+
+class RunGate:
+    """Holds an :class:`~repro.service.server.InferenceServer`'s runs.
+
+    Wraps the server's ``_run_group`` (the executor-thread body of one
+    run): every run records its size, sets :attr:`entered` and blocks
+    until :attr:`release` is set. Queries that arrive while a run is
+    held queue up for the next one, so a test can fill the group-commit
+    queue deterministically.
+    """
+
+    def __init__(self, server):
+        self.server = server
+        self.entered = threading.Event()
+        self.release = threading.Event()
+        self.sizes: list[int] = []
+        run_group = server._run_group
+
+        def gated(members, budget, derive=False):
+            self.sizes.append(len(members))
+            self.entered.set()
+            self.release.wait(timeout=60)
+            return run_group(members, budget, derive)
+
+        server._run_group = gated
+
+    def wait_queued(self, count: int, timeout: float = 30.0) -> None:
+        """Block until ``count`` queries wait for the next run."""
+        deadline = time.monotonic() + timeout
+        while self.server._queued < count:
+            assert time.monotonic() < deadline, (
+                f"{self.server._queued}/{count} queries queued"
+            )
+            time.sleep(0.005)
+
+
+@pytest.fixture
+def run_gate():
+    """``run_gate(server)`` installs a :class:`RunGate` on ``server``.
+
+    Every gate is released at teardown, so a failing test cannot leave
+    a server thread blocked.
+    """
+    gates: list[RunGate] = []
+
+    def install(server) -> RunGate:
+        gates.append(RunGate(server))
+        return gates[-1]
+
+    yield install
+    for gate in gates:
+        gate.release.set()

@@ -165,3 +165,11 @@ class TestDemo:
         output = capsys.readouterr().out
         assert "direction (A) CONFIRMED" in output
         assert "direction (B) CONFIRMED" in output
+
+
+class TestServe:
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_max_batch_below_one_is_usage_error(self, value, capsys):
+        code = main(["serve", "--port", "0", "--max-batch", value])
+        assert code == EXIT_USAGE
+        assert "error: --max-batch must be >= 1" in capsys.readouterr().err

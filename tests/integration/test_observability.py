@@ -33,7 +33,7 @@ def service():
 
 @pytest.fixture
 def server(service):
-    with ServerThread(service, batch_window=0.05) as handle:
+    with ServerThread(service) as handle:
         yield handle
 
 

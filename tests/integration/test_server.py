@@ -2,7 +2,7 @@
 
 Each test boots a real server on an ephemeral localhost port (via
 :class:`ServerThread`) and talks to it over actual HTTP, so the wire
-format, micro-batching loop and cross-client cache sharing are exercised
+format, group-commit batching loop and cross-client cache sharing are exercised
 end to end.
 """
 
@@ -23,7 +23,7 @@ from repro.service import (
     ServiceError,
     ServiceHTTPError,
 )
-from repro.workloads.generators import disguise
+from repro.workloads.generators import disguise, transitivity_family
 
 
 @pytest.fixture
@@ -33,7 +33,7 @@ def transitivity():
 
 @pytest.fixture
 def server():
-    with ServerThread(InferenceService(), batch_window=0.05) as handle:
+    with ServerThread(InferenceService()) as handle:
         yield handle
 
 
@@ -113,7 +113,6 @@ class TestEndpoints:
         service = InferenceService()
         with ServerThread(
             service,
-            batch_window=0.01,
             default_budget=Budget(max_steps=25, max_seconds=5.0),
         ) as handle:
             client = ServiceClient(handle.base_url)
@@ -196,8 +195,8 @@ class TestCrossClientSharing:
     def test_two_concurrent_clients_chase_once(self, server, transitivity):
         """Alpha-renamed duplicates from concurrent clients cost one chase.
 
-        Whether the two requests coalesce into one micro-batch (dedup) or
-        land in consecutive batches (cache hit), the server must execute
+        Whether the two requests share one run (dedup) or land in
+        consecutive runs (cache hit), the server must execute
         exactly one chase for the five structurally identical queries per
         client — asserted through the /v1/stats counters.
         """
@@ -240,10 +239,148 @@ class TestCrossClientSharing:
         assert stats["server"]["cache_hits"] == 1
 
 
+class TestGroupCommit:
+    """Queries that queue while a run is busy share the next run.
+
+    Each test holds a first run busy with :class:`RunGate`, fills the
+    queue behind it and then releases it.
+    """
+
+    HELD = "R(a, b) & R(b, c) -> R(a, c)"
+
+    def _hold_first_run(self, handle, gate, transitivity):
+        """Start one query whose run blocks on ``gate``; return its thread."""
+        first = threading.Thread(
+            target=ServiceClient(handle.base_url).implies,
+            args=([transitivity], parse_td(self.HELD)),
+        )
+        first.start()
+        assert gate.entered.wait(timeout=30)
+        return first
+
+    def test_queued_duplicates_from_many_clients_run_once(
+        self, run_gate, transitivity
+    ):
+        with ServerThread(InferenceService()) as handle:
+            # Warm the held query, so the held run chases nothing and
+            # every chase after `before` belongs to the duplicates.
+            ServiceClient(handle.base_url).implies(
+                [transitivity], parse_td(self.HELD)
+            )
+            gate = run_gate(handle.server)
+            first = self._hold_first_run(handle, gate, transitivity)
+            before = ServiceClient(handle.base_url).stats()["server"]
+            base = parse_td("R(a, b) & R(b, c) & R(c, d) -> R(a, d)")
+            clients = 4
+            with ThreadPoolExecutor(max_workers=clients) as executor:
+                futures = [
+                    executor.submit(
+                        ServiceClient(handle.base_url).implies,
+                        [transitivity],
+                        disguise(base, seed=index, tag="g"),
+                    )
+                    for index in range(clients)
+                ]
+                gate.wait_queued(clients)
+                gate.release.set()
+                verdicts = [future.result(timeout=30) for future in futures]
+            first.join(timeout=30)
+            after = ServiceClient(handle.base_url).stats()["server"]
+        assert all(v.status is InferenceStatus.PROVED for v in verdicts)
+        # The held run (a cache hit), then exactly one further run for
+        # all duplicates, which chases once.
+        assert gate.sizes == [1, clients]
+        assert after["batches"] - before["batches"] == 1 + 1
+        assert after["executed"] - before["executed"] == 1
+        assert after["deduplicated"] - before["deduplicated"] == clients - 1
+
+    def test_max_batch_caps_each_run(self, run_gate, transitivity):
+        with ServerThread(InferenceService(), max_batch=2) as handle:
+            gate = run_gate(handle.server)
+            first = self._hold_first_run(handle, gate, transitivity)
+            with ThreadPoolExecutor(max_workers=5) as executor:
+                futures = [
+                    executor.submit(
+                        ServiceClient(handle.base_url).implies,
+                        [transitivity],
+                        transitivity_family(length)[-1],
+                    )
+                    for length in range(3, 8)
+                ]
+                gate.wait_queued(5)
+                gate.release.set()
+                verdicts = [future.result(timeout=30) for future in futures]
+            first.join(timeout=30)
+        assert all(v.status is InferenceStatus.PROVED for v in verdicts)
+        assert gate.sizes == [1, 2, 2, 1]
+
+    def test_batch_request_is_never_split(self, run_gate, transitivity):
+        """A /v1/batch of max_batch targets queued behind a single query
+        runs whole in its own run: a query-by-query take would pair the
+        single query with two of its targets and strand the third."""
+        with ServerThread(InferenceService(), max_batch=3) as handle:
+            gate = run_gate(handle.server)
+            first = self._hold_first_run(handle, gate, transitivity)
+            with ThreadPoolExecutor(max_workers=2) as executor:
+                single = executor.submit(
+                    ServiceClient(handle.base_url).implies,
+                    [transitivity],
+                    transitivity_family(6)[-1],
+                )
+                gate.wait_queued(1)
+                batch = executor.submit(
+                    ServiceClient(handle.base_url).batch,
+                    [transitivity],
+                    [transitivity_family(length)[-1] for length in (3, 4, 5)],
+                )
+                gate.wait_queued(4)
+                gate.release.set()
+                assert single.result(timeout=30).status is InferenceStatus.PROVED
+                report = batch.result(timeout=30)
+            first.join(timeout=30)
+        assert report.statuses == [InferenceStatus.PROVED] * 3
+        assert gate.sizes == [1, 1, 3]
+
+    def test_concurrent_mixed_clients_leave_nothing_queued(
+        self, transitivity
+    ):
+        """More client threads than cores, implies and batch requests
+        mixed: every verdict is right and the queue count returns to 0."""
+        targets = [transitivity_family(length)[-1] for length in range(2, 6)]
+        with ServerThread(InferenceService(), max_batch=3) as handle:
+
+            def one_client(number: int):
+                client = ServiceClient(handle.base_url)
+                if number % 2:
+                    return [client.implies([transitivity], targets[number % 4]).status]
+                return client.batch([transitivity], targets).statuses
+
+            with ThreadPoolExecutor(max_workers=12) as executor:
+                answers = list(executor.map(one_client, range(24), timeout=60))
+            stats = ServiceClient(handle.base_url).stats()
+        assert all(
+            status is InferenceStatus.PROVED
+            for statuses in answers
+            for status in statuses
+        )
+        assert stats["batching"]["queued"] == 0
+        assert stats["server"]["queries"] == 12 * 1 + 12 * len(targets)
+        assert stats["server"]["batches"] <= stats["server"]["queries"]
+
+    def test_stats_report_max_batch_and_no_timer(self):
+        with ServerThread(InferenceService(), max_batch=7) as handle:
+            batching = ServiceClient(handle.base_url).stats()["batching"]
+        # max_batch is the one batching knob: no timer is reported.
+        assert batching["max_batch"] == 7
+        assert set(batching) == {
+            "max_batch", "workers", "default_budget", "queued", "max_queue"
+        }
+
+
 class TestServerWithWorkers:
     def test_pooled_server_round_trip_and_pool_teardown(self, transitivity):
         service = InferenceService(workers=1)
-        with ServerThread(service, batch_window=0.01) as handle:
+        with ServerThread(service) as handle:
             client = ServiceClient(handle.base_url)
             verdict = client.implies(
                 [transitivity], parse_td("R(a, b) & R(b, c) -> R(a, c)")

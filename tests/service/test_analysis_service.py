@@ -31,7 +31,7 @@ def transitivity():
 
 @pytest.fixture
 def server():
-    with ServerThread(InferenceService(), batch_window=0.05) as handle:
+    with ServerThread(InferenceService()) as handle:
         yield handle
 
 
