@@ -77,13 +77,14 @@ def firing_graph(dependencies: Sequence[Dependency]) -> MultiDiGraph:
     complete a trigger for any antecedent — and never-firing
     dependencies are isolated nodes.
     """
+    return firing_graph_of([not never_fires(dependency) for dependency in dependencies])
+
+
+def firing_graph_of(fires: Sequence[bool]) -> MultiDiGraph:
+    """:func:`firing_graph` from each dependency's ``not never_fires``."""
     graph = MultiDiGraph()
-    graph.add_nodes_from(range(len(dependencies)))
-    productive = [
-        index
-        for index, dependency in enumerate(dependencies)
-        if not never_fires(dependency)
-    ]
+    graph.add_nodes_from(range(len(fires)))
+    productive = [index for index, flag in enumerate(fires) if flag]
     for source in productive:
         for target in productive:
             graph.add_edge(source, target)

@@ -49,10 +49,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from repro.analysis.firing import firing_graph, never_fires, strata_of
-from repro.analysis.graph import MultiDiGraph
+from repro.analysis.firing import firing_graph_of, never_fires, strata_of
 from repro.analysis.positions import (
     PositionEdge,
     build_position_graph,
@@ -190,88 +189,102 @@ def existential_depth(
 ) -> Optional[int]:
     """Joint-acyclicity depth, or None when the set is not jointly acyclic.
 
-    Builds the Krötzsch–Rudolph existential-dependency graph: one node
-    per existential variable ``z``, with ``Ω(z)`` the least position set
-    containing ``z``'s conclusion positions and closed under frontier
-    propagation (if every antecedent position of a conclusion-occurring
-    universal ``x`` lies in ``Ω(z)``, add ``x``'s conclusion positions);
-    an edge ``z -> z'`` when ``z'``'s rule has a frontier variable whose
-    antecedent positions all lie in ``Ω(z)``. Acyclic ⟺ jointly acyclic;
-    the returned depth (longest path, in nodes) bounds the waves of null
-    creation.
-    """
-    rules: List[Dict[object, Tuple[Set[int], Set[int]]]] = []
-    evars: List[Tuple[int, Set[int]]] = []  # (rule index, conclusion positions)
-    for rule_index, dependency in enumerate(dependencies):
-        universal = dependency.universal_variables()
-        conclusion_variables = {
-            variable for atom in dependency.conclusions for variable in atom
-        }
-        frontier: Dict[object, Tuple[Set[int], Set[int]]] = {}
-        for variable in conclusion_variables & universal:
-            body = {
-                position
-                for atom in dependency.antecedents
-                for position, term in enumerate(atom)
-                if term == variable
-            }
-            head = {
-                position
-                for atom in dependency.conclusions
-                for position, term in enumerate(atom)
-                if term == variable
-            }
-            frontier[variable] = (body, head)
-        rules.append(frontier)
-        for variable in sorted(
-            dependency.existential_variables(), key=repr
-        ):
-            positions = {
-                position
-                for atom in dependency.conclusions
-                for position, term in enumerate(atom)
-                if term == variable
-            }
-            evars.append((rule_index, positions))
+    The Krötzsch–Rudolph existential-dependency graph has one node per
+    existential variable ``z``. ``Ω(z)`` is the least position set
+    containing ``z``'s conclusion positions (its *seed*) and closed
+    under frontier propagation: if every antecedent position of a
+    conclusion-occurring universal ``x`` lies in ``Ω(z)``, add ``x``'s
+    conclusion positions. The edge ``z -> z'`` exists when ``z'``'s
+    rule has a frontier variable whose antecedent positions (its
+    *body*) all lie in ``Ω(z)``. Acyclic ⟺ jointly acyclic; the depth
+    (longest path, in nodes) bounds the waves of null creation.
 
-    omegas: List[Set[int]] = []
-    for __, positions in evars:
-        omega = set(positions)
+    That edge depends only on ``z``'s seed and on ``z'``'s rule, so the
+    graph is built at that level instead. Its nodes are the distinct
+    seeds and the distinct body sets of rules with existentials: seed
+    ``S`` points at body set ``B`` when some body in ``B`` lies in
+    ``Ω(S)``, and ``B`` points at the seeds of its rules' existentials.
+    A variable path projects onto a seed path with as many seed nodes,
+    and every seed path lifts back (each step is witnessed by a
+    variable of the rule it passes through), so the cycles and the
+    longest path in seed nodes are the variable graph's. One memoized
+    iterative DFS finds both and stops at the first cycle.
+
+    Positions are bitmasks. The edge tests cost O(distinct seeds ×
+    rules × frontier), and each ``Ω`` at most arity + 1 passes over
+    the frontier propagation steps, against the variable graph's
+    O(existentials² × frontier) edge tests.
+    """
+    # Frontier propagation steps (body mask, head mask), and for each
+    # distinct set of rule bodies the seed masks of its existentials.
+    propagation: Set[Tuple[int, int]] = set()
+    seeds_of: Dict[FrozenSet[int], Set[int]] = {}
+    for dependency in dependencies:
+        body: Dict[object, int] = {}
+        head: Dict[object, int] = {}
+        for atom in dependency.antecedents:
+            for position, term in enumerate(atom):
+                body[term] = body.get(term, 0) | 1 << position
+        for atom in dependency.conclusions:
+            for position, term in enumerate(atom):
+                head[term] = head.get(term, 0) | 1 << position
+        frontier = [variable for variable in head if variable in body]
+        propagation.update((body[x], head[x]) for x in frontier)
+        seeds = [mask for variable, mask in head.items() if variable not in body]
+        if seeds:
+            bodies = frozenset(body[x] for x in frontier)
+            seeds_of.setdefault(bodies, set()).update(seeds)
+
+    # Nodes: distinct seeds first, then body sets; a seed node counts 1
+    # towards a path's length, a body-set node 0.
+    seed_nodes = sorted({seed for seeds in seeds_of.values() for seed in seeds})
+    seed_count = len(seed_nodes)
+    seed_index = {seed: node for node, seed in enumerate(seed_nodes)}
+    body_sets = list(seeds_of)
+    successors: List[List[int]] = []
+    for seed in seed_nodes:
+        omega = seed
         changed = True
         while changed:
             changed = False
-            for frontier in rules:
-                for body, head in frontier.values():
-                    if body and body <= omega and not head <= omega:
-                        omega |= head
-                        changed = True
-        omegas.append(omega)
+            for body_mask, head_mask in propagation:
+                if body_mask & ~omega == 0 and head_mask & ~omega:
+                    omega |= head_mask
+                    changed = True
+        successors.append(
+            [
+                seed_count + node
+                for node, bodies in enumerate(body_sets)
+                if any(body_mask & ~omega == 0 for body_mask in bodies)
+            ]
+        )
+    for bodies in body_sets:
+        successors.append([seed_index[seed] for seed in seeds_of[bodies]])
 
-    graph = MultiDiGraph()
-    graph.add_nodes_from(range(len(evars)))
-    for source, omega in enumerate(omegas):
-        for target, (rule_index, __) in enumerate(evars):
-            frontier = rules[rule_index]
-            if any(body and body <= omega for body, __head in frontier.values()):
-                graph.add_edge(source, target)
-
-    components = graph.strongly_connected_components()
-    for component in components:
-        if len(component) > 1:
-            return None
-        node = next(iter(component))
-        if graph.get_edge_data(node, node) is not None:
-            return None
-    # Longest path (in nodes) over the acyclic graph; Tarjan emits
-    # reverse topological order, so walk it backwards (sources first).
-    depth: Dict[int, int] = {}
-    for component in reversed(components):
-        node = next(iter(component))
-        depth[node] = 1
-        for source in graph.nodes():
-            if source in depth and graph.get_edge_data(source, node) is not None:
-                depth[node] = max(depth[node], depth[source] + 1)
-    return max(depth.values(), default=0)
+    depth = [0] * len(successors)
+    state = [0] * len(successors)  # 0 unseen, 1 on the DFS path, 2 done
+    for root in range(seed_count):
+        if state[root]:
+            continue
+        state[root] = 1
+        stack = [(root, iter(successors[root]))]
+        while stack:
+            node, pending = stack[-1]
+            for successor in pending:
+                if state[successor] == 1:
+                    return None
+                if state[successor] == 0:
+                    state[successor] = 1
+                    stack.append((successor, iter(successors[successor])))
+                    break
+            else:
+                stack.pop()
+                state[node] = 2
+                depth[node] = (1 if node < seed_count else 0) + max(
+                    (depth[successor] for successor in successors[node]),
+                    default=0,
+                )
+    return max(depth, default=0)
 
 
 _ANALYSIS_CACHE: Dict[Tuple[Dependency, ...], AnalysisReport] = {}
@@ -285,13 +298,25 @@ def analyze(dependencies: Sequence[Dependency]) -> AnalysisReport:
     queries against one premise set — the batch-service hot path — pay
     for the analysis once.
     """
+    return _analysis(tuple(dependencies), None)
+
+
+def _analysis(
+    key: Tuple[Dependency, ...], fires: Optional[Sequence[bool]]
+) -> AnalysisReport:
+    """:func:`analyze`, given ``not never_fires`` per dependency when the
+    caller already knows it (None: compute it on a miss)."""
     return memoized(
-        _ANALYSIS_CACHE, tuple(dependencies), _analyze, _ANALYSIS_CACHE_MAX
+        _ANALYSIS_CACHE,
+        key,
+        lambda dependencies: _analyze(dependencies, fires),
+        _ANALYSIS_CACHE_MAX,
     )
 
 
-def _analyze(key: Tuple[Dependency, ...]) -> AnalysisReport:
-    dependencies = key
+def _analyze(
+    dependencies: Tuple[Dependency, ...], fires: Optional[Sequence[bool]]
+) -> AnalysisReport:
     position_graph = build_position_graph(dependencies)
     cycle = special_cycle_of(position_graph)
     weakly = cycle is None
@@ -302,13 +327,10 @@ def _analyze(key: Tuple[Dependency, ...]) -> AnalysisReport:
     )
     regular_edges = position_graph.number_of_edges() - special_edges
 
-    graph = firing_graph(dependencies)
-    strata = strata_of(graph)
-    never = tuple(
-        index
-        for index in range(len(dependencies))
-        if not any(True for __ in graph.successors(index))
-    ) if dependencies else ()
+    if fires is None:
+        fires = [not never_fires(dependency) for dependency in dependencies]
+    strata = strata_of(firing_graph_of(fires))
+    never = tuple(index for index, flag in enumerate(fires) if not flag)
 
     depth = existential_depth(dependencies)
     jointly = depth is not None
@@ -339,7 +361,7 @@ def _analyze(key: Tuple[Dependency, ...]) -> AnalysisReport:
             for index, dependency in enumerate(dependencies)
             if index not in set(never)
         )
-        sub = analyze(productive)
+        sub = _analysis(productive, (True,) * len(productive))
         if sub.certificate is not None:
             fragment = Fragment.STRATIFIED
             certificate = replace(sub.certificate, fragment=fragment)
@@ -413,9 +435,12 @@ class QueryProgram:
         }
 
 
-#: Entailment pruning chases every candidate against the rest; gate it to
-#: small sets and a tiny budget so analysis stays cheap relative to the
-#: query it serves.
+#: Entailment pruning chases every candidate against the rest, gated to
+#: small sets and a tiny budget. The gate bounds the cost but does not
+#: make it cheap: on the GL encodings of negative_family(0) and (1) (8
+#: and 16 kept premises) it runs 8 and 16 chases, almost all UNKNOWN at
+#: the 256-step budget: 0.4-0.6 s of CPU per cold premise set (CPython
+#: 3.11, 2-CPU host), against the 1-2 ms the query then takes warm.
 _ENTAILMENT_MAX_DEPENDENCIES = 16
 _ENTAILMENT_BUDGET = Budget(max_steps=256, max_rows=2048, max_seconds=None)
 
@@ -498,7 +523,8 @@ def _prune(key: Tuple[Dependency, ...]) -> QueryProgram:
         kept_indices = survivors
 
     kept = tuple(key[index] for index in kept_indices)
-    kept_report = analyze(kept) if dropped else report
+    # Never-firing dependencies were dropped first, so all kept ones fire.
+    kept_report = _analysis(kept, (True,) * len(kept)) if dropped else report
     return QueryProgram(
         kept=kept,
         dropped=tuple(sorted(dropped, key=lambda entry: entry.index)),

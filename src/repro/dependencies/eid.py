@@ -24,13 +24,19 @@ from typing import Iterable, Iterator, Optional, Sequence
 from repro.errors import ArityError, DependencyError
 from repro.relational.instance import Instance
 from repro.relational.schema import Schema
-from repro.dependencies.template import Atom, TemplateDependency, Variable, is_variable
+from repro.dependencies.template import (
+    Atom,
+    TemplateDependency,
+    Variable,
+    _slot_state,
+    is_variable,
+)
 
 
 class EmbeddedImplicationalDependency:
     """An EID: antecedent atoms implying a conjunction of conclusion atoms."""
 
-    __slots__ = ("schema", "antecedents", "conclusions", "name", "_typed")
+    __slots__ = ("schema", "antecedents", "conclusions", "name", "_typed", "_hash")
 
     def __init__(
         self,
@@ -164,7 +170,16 @@ class EmbeddedImplicationalDependency:
         )
 
     def __hash__(self) -> int:
-        return hash((self.schema, self.antecedents, self.conclusions))
+        # Cached on first use, and left out of the pickled state, as on
+        # TemplateDependency.
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = hash((self.schema, self.antecedents, self.conclusions))
+            return self._hash
+
+    def __getstate__(self) -> tuple:
+        return _slot_state(self)
 
     def __repr__(self) -> str:
         label = f" {self.name}" if self.name else ""

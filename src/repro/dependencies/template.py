@@ -68,6 +68,22 @@ class Variable:
         return self.name
 
 
+def _slot_state(dependency: object) -> tuple:
+    """Pickle state of a slotted dependency, without its cached hash.
+
+    The hash is only valid under the hash seed of the process that
+    computed it; the loading process recomputes it on first use.
+    """
+    return (
+        None,
+        {
+            slot: getattr(dependency, slot)
+            for slot in type(dependency).__slots__  # type: ignore[attr-defined]
+            if slot != "_hash" and hasattr(dependency, slot)
+        },
+    )
+
+
 def is_variable(term: object) -> bool:
     """True when ``term`` is a dependency variable."""
     return isinstance(term, Variable)
@@ -100,6 +116,7 @@ class TemplateDependency:
         "name",
         "_column_of",
         "_typed",
+        "_hash",
     )
 
     def __init__(
@@ -342,7 +359,16 @@ class TemplateDependency:
         )
 
     def __hash__(self) -> int:
-        return hash((self.schema, self.antecedents, self.conclusion))
+        # Cached on first use: premise tuples key the analysis and plan
+        # memos, so a warm query hashes every premise it names.
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = hash((self.schema, self.antecedents, self.conclusion))
+            return self._hash
+
+    def __getstate__(self) -> tuple:
+        return _slot_state(self)
 
     def __repr__(self) -> str:
         label = f" {self.name}" if self.name else ""

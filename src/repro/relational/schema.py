@@ -94,6 +94,11 @@ class Schema:
     def __hash__(self) -> int:
         return self._hash
 
+    def __reduce__(self) -> tuple:
+        # Rebuild from the attributes: the cached string hash is only
+        # valid under the hash seed of the process that computed it.
+        return (Schema, (self._attributes,))
+
     def __repr__(self) -> str:
         return f"Schema({list(self._attributes)!r})"
 

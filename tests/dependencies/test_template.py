@@ -46,24 +46,13 @@ class TestVariable:
     def test_unpickled_variable_hashes_under_the_loading_hash_seed(self):
         # Pool workers unpickle variables in processes with their own
         # string-hash seed: the hash must be recomputed, not carried over.
-        def run(seed: str, code: str, stdin: bytes = b"") -> bytes:
-            env = dict(os.environ, PYTHONHASHSEED=seed)
-            env["PYTHONPATH"] = str(Path(repro.__file__).resolve().parents[1])
-            return subprocess.run(
-                [sys.executable, "-c", code],
-                input=stdin,
-                env=env,
-                capture_output=True,
-                check=True,
-            ).stdout
-
-        pickled = run(
+        pickled = _run_python(
             "1",
             "import pickle, sys\n"
             "from repro.dependencies.template import Variable\n"
             "sys.stdout.buffer.write(pickle.dumps(Variable('x')))",
         )
-        loaded = run(
+        loaded = _run_python(
             "2",
             "import pickle, sys\n"
             "from repro.dependencies.template import Variable\n"
@@ -72,6 +61,45 @@ class TestVariable:
             stdin=pickled,
         )
         assert loaded.split() == [b"True", b"True"]
+
+
+class TestPickledHash:
+    def test_unpickled_dependencies_hash_under_the_loading_hash_seed(self):
+        # Dependencies cache their hash on first use; the cached value
+        # (and the schema's) must not travel to a process with another
+        # string-hash seed.
+        build = (
+            "from repro.dependencies.eid import td_as_eid\n"
+            "from repro.dependencies.parser import parse_td\n"
+            "td = parse_td('R(x,y) & R(y,z) -> R(x,w)')\n"
+            "deps = (td, td_as_eid(td), td.schema)\n"
+        )
+        pickled = _run_python(
+            "1",
+            "import pickle, sys\n" + build + "[hash(d) for d in deps]\n"
+            "sys.stdout.buffer.write(pickle.dumps(deps))",
+        )
+        loaded = _run_python(
+            "2",
+            "import pickle, sys\n" + build + "loaded = pickle.loads(sys.stdin.buffer.read())\n"
+            "for old, new in zip(loaded, deps):\n"
+            "    print(old == new, hash(old) == hash(new), old in {new: 1})\n",
+            stdin=pickled,
+        )
+        assert loaded.split() == [b"True"] * 9
+
+
+def _run_python(seed: str, code: str, stdin: bytes = b"") -> bytes:
+    """Run ``code`` in a fresh interpreter under ``PYTHONHASHSEED=seed``."""
+    env = dict(os.environ, PYTHONHASHSEED=seed)
+    env["PYTHONPATH"] = str(Path(repro.__file__).resolve().parents[1])
+    return subprocess.run(
+        [sys.executable, "-c", code],
+        input=stdin,
+        env=env,
+        capture_output=True,
+        check=True,
+    ).stdout
 
 
 class TestConstruction:

@@ -13,7 +13,9 @@ held to:
   activity test and :func:`~tests.oracle.trigger.fire_trigger`;
 * :mod:`tests.oracle.chase` — the round-based chase with its STANDARD,
   SEMI_NAIVE and OBLIVIOUS disciplines, and ``implies`` on top of it;
-* :mod:`tests.oracle.modelcheck` — model checking by search.
+* :mod:`tests.oracle.modelcheck` — model checking by search;
+* :mod:`tests.oracle.analysis` — the joint-acyclicity check over every
+  pair of existential variables.
 
 Nothing here touches the kernel: no interned view, no join plan. Tests
 and benchmarks import from the submodules (``from tests.oracle.chase
