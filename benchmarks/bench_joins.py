@@ -130,7 +130,14 @@ def _run_join_series(states, checks):
             seen: set = set()
             out: list = []
             extend_matches(
-                state, steps, 0, [0] * plan.n_slots, plan.n_universal, seen, out
+                state,
+                steps,
+                0,
+                [0] * plan.n_slots,
+                plan.n_universal,
+                seen,
+                out,
+                frozenset(),  # a cold enumeration: no old/delta split
             )
             total_matches += len(out)
             regs = [0] * plan.n_slots

@@ -439,8 +439,10 @@ class QueryProgram:
 #: small sets and a tiny budget. The gate bounds the cost but does not
 #: make it cheap: on the GL encodings of negative_family(0) and (1) (8
 #: and 16 kept premises) it runs 8 and 16 chases, almost all UNKNOWN at
-#: the 256-step budget: 0.4-0.6 s of CPU per cold premise set (CPython
-#: 3.11, 2-CPU host), against the 1-2 ms the query then takes warm.
+#: the 256-step budget: a cold prune_for_target takes 0.5-1.05 s of CPU
+#: per premise set in the gl_reduction premise orders (CPython 3.11,
+#: 2-CPU host, python join backend), against the 1-2 ms the query then
+#: takes warm.
 _ENTAILMENT_MAX_DEPENDENCIES = 16
 _ENTAILMENT_BUDGET = Budget(max_steps=256, max_rows=2048, max_seconds=None)
 

@@ -25,8 +25,20 @@ antecedent structure never changes, so all of that is decided
   re-checks a match across rounds (activity is monotone: a trigger once
   fired or found inactive stays inactive forever);
 * the chase loop is delta-driven: round one's delta is the whole
-  instance, which *is* the standard restricted chase with semi-naive
-  bookkeeping.
+  instance, which *is* the standard restricted chase, and every later
+  round joins only matches that touch the rows the previous round
+  added;
+* within a round the pivot plans split old from delta rows (the
+  semi-naive rule of Abiteboul, Hull & Vianu, *Foundations of
+  Databases*, §13.1): for pivot ``p`` the atoms before ``p`` may match
+  only rows outside the delta. A match whose first delta atom is
+  ``q < p`` is found at pivot ``q`` anyway, so the rule drops only the
+  copies the per-round ``seen`` set used to throw away — each match is
+  enumerated once instead of once per delta atom. Pivots are seeded in
+  order and index buckets are append-only during a run, so the ordered
+  match list, and with it every firing sequence, trace and checkpoint,
+  is the one the unsplit enumeration gives (pinned by
+  ``tests/chase/test_firing_order.py``).
 
 :meth:`ChaseSession.run` is the one chase loop and the one place a
 :class:`~repro.chase.result.ChaseResult` is built. Fresh
@@ -51,7 +63,7 @@ why they compare semantics, not step sequences.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, AbstractSet, Optional, Sequence
 
 from repro.chase.budget import ChaseStats
 from repro.chase.result import ChaseResult, ChaseStatus, ChaseStep
@@ -79,7 +91,9 @@ class PivotPlan:
     ``pattern`` is the pivot atom's within-atom equality pattern: column
     pairs a delta row must agree on to unify with the pivot at all —
     this is the delta-dispatch filter. ``binds`` loads the pivot row
-    into the registers; ``steps`` joins the remaining antecedents.
+    into the registers; ``steps`` joins the remaining antecedents, the
+    ones declared before the pivot tagged
+    :attr:`~repro.kernel.joins.AtomStep.old_only`.
     """
 
     __slots__ = ("pattern", "binds", "steps")
@@ -148,7 +162,8 @@ class JoinPlan:
 
         # One compiled order per pivot atom (semi-naive seeding). Round
         # one seeds every pivot with the whole instance, so no separate
-        # "cold" order is needed.
+        # "cold" order is needed; the atoms before the pivot are tagged
+        # old_only (the old/delta split).
         self.pivots = tuple(
             _compile_pivot(antecedent_slots, pivot)
             for pivot in range(len(antecedent_slots))
@@ -176,7 +191,7 @@ def _compile_pivot(
     return PivotPlan(
         pattern=atom_equality_pattern(slots),
         binds=tuple(binds),
-        steps=compile_steps(rest, seen),
+        steps=compile_steps(rest, seen, old_before=pivot),
     )
 
 
@@ -319,6 +334,10 @@ class Dispatcher:
         return f"<Dispatcher patterns={len(self.patterns)} plans={self.n_plans}>"
 
 
+#: The walker's delta argument that prunes nothing.
+_NO_DELTA: frozenset = frozenset()
+
+
 def _collect_matches(
     state: KernelState,
     plan: JoinPlan,
@@ -331,6 +350,12 @@ def _collect_matches(
     trigger snapshot); deduplicated within the round
     (several pivots can land on one match) and against the cross-round
     ``evaluated`` memo (activity monotonicity makes old matches dead).
+
+    This path keeps the unsplit enumeration (an empty delta set to the
+    walker): the dispatcher's seeds are row-major, so a match's first
+    occurrence here is at its first delta *row*, not its first delta
+    atom, and the old/delta rule would reorder firings. Only programs
+    with a within-atom repeat such as ``R(x, x, y)`` take this path.
     """
     out: list[tuple[int, ...]] = []
     seen: set[tuple[int, ...]] = set()
@@ -339,7 +364,9 @@ def _collect_matches(
     for pivot_plan, irow in seeds:
         for column, slot in pivot_plan.binds:
             regs[slot] = irow[column]
-        extend_matches(state, pivot_plan.steps, 0, regs, n_universal, seen, out)
+        extend_matches(
+            state, pivot_plan.steps, 0, regs, n_universal, seen, out, _NO_DELTA
+        )
     if evaluated:
         return [key for key in out if key not in evaluated]
     return out
@@ -349,13 +376,19 @@ def _collect_matches_all(
     state: KernelState,
     plan: JoinPlan,
     delta: Sequence[IntRow],
+    delta_rows: AbstractSet[IntRow],
     evaluated: set[tuple[int, ...]],
 ) -> list[tuple[int, ...]]:
-    """:func:`_collect_matches` without the dispatch layer.
+    """:func:`_collect_matches` without the dispatch layer, pivot-major.
 
     Used when the dispatcher is trivial (no pivot has a discriminating
     equality pattern): every delta row reaches every pivot anyway, so
-    seed tuples are never materialized.
+    seed tuples are never materialized. ``delta_rows`` is ``delta`` as
+    a set; the walker keeps the atoms before each pivot off it (the
+    old/delta split in the module docstring), which finds each match
+    once, at its first delta atom, and returns the list the unsplit
+    enumeration would. That holds because every delta row is in the
+    instance, as a chase frontier always is.
     """
     out: list[tuple[int, ...]] = []
     seen: set[tuple[int, ...]] = set()
@@ -367,7 +400,9 @@ def _collect_matches_all(
         for irow in delta:
             for column, slot in binds:
                 regs[slot] = irow[column]
-            extend_matches(state, steps, 0, regs, n_universal, seen, out)
+            extend_matches(
+                state, steps, 0, regs, n_universal, seen, out, delta_rows
+            )
     if evaluated:
         return [key for key in out if key not in evaluated]
     return out
@@ -532,6 +567,7 @@ class ChaseSession:
             seeds_per_plan = (
                 None if trivial_dispatch else self.dispatcher.seeds(delta)
             )
+            delta_rows = set(delta) if trivial_dispatch else _NO_DELTA
             for plan_index, (dependency, plan, memo) in enumerate(
                 zip(dependencies, plans, evaluated)
             ):
@@ -541,7 +577,9 @@ class ChaseSession:
                     # The suspended plan's unfired trigger snapshot.
                     matches, carried = list(carried), None
                 elif seeds_per_plan is None:
-                    matches = _collect_matches_all(state, plan, delta, memo)
+                    matches = _collect_matches_all(
+                        state, plan, delta, delta_rows, memo
+                    )
                 else:
                     seeds = seeds_per_plan[plan_index]
                     if not seeds:

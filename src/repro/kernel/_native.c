@@ -19,9 +19,10 @@
  * repro.kernel.joins line for line — smallest-bucket probe selection,
  * single-probe no-verify fast path, all-bound membership fast path,
  * bind-then-check order, dedup on the first n_universal registers, the
- * violation walk's conclusion probe, and the retraction walk's
- * image-shrinks switch to pure existence.  Any change to the step
- * semantics must land in both backends (see the NOTE in joins.py).
+ * extend walk's skip of delta rows at old_only steps, the violation
+ * walk's conclusion probe, and the retraction walk's image-shrinks
+ * switch to pure existence.  Any change to the step semantics must land
+ * in both backends (see the NOTE in joins.py).
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -37,6 +38,7 @@ typedef struct {
     int n_binds;         /* first occurrences: write regs[slot]        */
     int n_checks;        /* repeats within the atom: compare           */
     int membership;      /* all probes: one set-membership test        */
+    int old_only;        /* extend walk: skip rows of the delta set    */
     long *probe_cols;
     long *probe_slots;
     long *bind_cols;
@@ -92,10 +94,11 @@ pack_pairs(PyObject *pairs, long *cols, long *slots, Py_ssize_t n)
 
 /* pack_steps(spec) -> capsule
  *
- * spec is a sequence of (probes, binds, checks) triples, each component
- * a tuple of (column, slot) int pairs — exactly the AtomStep fields.
- * The derived fast-path fields (membership, verify) are recomputed here
- * under the same rules as AtomStep.__init__.
+ * spec is a sequence of (probes, binds, checks, old_only) quadruples,
+ * the first three a tuple of (column, slot) int pairs each and the last
+ * a bool — exactly the AtomStep fields.  The derived fast-path fields
+ * (membership, verify) are recomputed here under the same rules as
+ * AtomStep.__init__.
  */
 static PyObject *
 native_pack_steps(PyObject *self, PyObject *spec)
@@ -120,9 +123,9 @@ native_pack_steps(PyObject *self, PyObject *spec)
     /* First pass: count ints so one block holds every array. */
     Py_ssize_t total = 0;
     for (Py_ssize_t i = 0; i < n_steps; i++) {
-        PyObject *triple = PySequence_Fast_GET_ITEM(seq, i);
+        PyObject *spec_step = PySequence_Fast_GET_ITEM(seq, i);
         for (int part = 0; part < 3; part++) {
-            PyObject *pairs = PySequence_GetItem(triple, part);
+            PyObject *pairs = PySequence_GetItem(spec_step, part);
             if (pairs == NULL)
                 goto fail;
             Py_ssize_t n = PySequence_Size(pairs);
@@ -140,11 +143,18 @@ native_pack_steps(PyObject *self, PyObject *spec)
 
     long *cursor = ns->block;
     for (Py_ssize_t i = 0; i < n_steps; i++) {
-        PyObject *triple = PySequence_Fast_GET_ITEM(seq, i);
+        PyObject *spec_step = PySequence_Fast_GET_ITEM(seq, i);
         NStep *st = &steps[i];
-        PyObject *probes = PySequence_GetItem(triple, 0);
-        PyObject *binds = PySequence_GetItem(triple, 1);
-        PyObject *checks = PySequence_GetItem(triple, 2);
+        PyObject *old_only = PySequence_GetItem(spec_step, 3);
+        if (old_only == NULL)
+            goto fail;
+        st->old_only = PyObject_IsTrue(old_only);
+        Py_DECREF(old_only);
+        if (st->old_only < 0)
+            goto fail;
+        PyObject *probes = PySequence_GetItem(spec_step, 0);
+        PyObject *binds = PySequence_GetItem(spec_step, 1);
+        PyObject *checks = PySequence_GetItem(spec_step, 2);
         if (probes == NULL || binds == NULL || checks == NULL) {
             Py_XDECREF(probes);
             Py_XDECREF(binds);
@@ -205,6 +215,8 @@ typedef struct {
     PyObject *rows_list; /* dense scan list of int-row tuples          */
     long *regs;
     Py_ssize_t n_regs;
+    PyObject *delta;     /* extend walk: the round's delta row set,
+                          * NULL when empty (old_only prunes nothing) */
 } WalkCtx;
 
 /* The (column, vid) index key. */
@@ -340,8 +352,19 @@ walk_has_extension(const NSteps *ns, int depth, WalkCtx *ctx)
     return 0;
 }
 
+/* 1 when an old_only step must skip irow (a delta row), 0 when it may
+ * match it, -1 on error. */
+static inline int
+skips_delta(const NStep *st, const WalkCtx *ctx, PyObject *irow)
+{
+    if (!st->old_only || ctx->delta == NULL)
+        return 0;
+    return PySet_Contains(ctx->delta, irow);
+}
+
 /* extend_matches: 0 ok, -1 error.  Completed matches are deduplicated
- * on the first n_universal registers and appended to out. */
+ * on the first n_universal registers and appended to out; old_only
+ * steps skip the rows of ctx->delta. */
 static int
 walk_extend(const NSteps *ns, int depth, WalkCtx *ctx, Py_ssize_t n_universal,
             PyObject *seen, PyObject *out)
@@ -374,6 +397,10 @@ walk_extend(const NSteps *ns, int depth, WalkCtx *ctx, Py_ssize_t n_universal,
         if (row == NULL)
             return -1;
         int present = PySet_Contains(ctx->irows, row);
+        if (present > 0) {
+            int skip = skips_delta(st, ctx, row);
+            present = skip < 0 ? -1 : !skip;
+        }
         Py_DECREF(row);
         if (present < 0)
             return -1;
@@ -398,6 +425,11 @@ walk_extend(const NSteps *ns, int depth, WalkCtx *ctx, Py_ssize_t n_universal,
     for (Py_ssize_t i = 0; i < n; i++) {
         PyObject *irow = PyList_GET_ITEM(best, i);
         if (!step_candidate(st, ctx->regs, irow))
+            continue;
+        int skip = skips_delta(st, ctx, irow);
+        if (skip < 0)
+            return -1;
+        if (skip)
             continue;
         if (walk_extend(ns, depth + 1, ctx, n_universal, seen, out) < 0)
             return -1;
@@ -602,7 +634,7 @@ native_has_extension(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
     long *regs = load_regs(args[4], stack, &n_regs);
     if (regs == NULL)
         return NULL;
-    WalkCtx ctx = {args[0], args[1], args[2], regs, n_regs};
+    WalkCtx ctx = {args[0], args[1], args[2], regs, n_regs, NULL};
     int found = walk_has_extension(ns, 0, &ctx);
     if (found == 1 && store_regs(args[4], regs, n_regs) < 0)
         found = -1;
@@ -614,12 +646,16 @@ native_has_extension(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 }
 
 /* extend_matches(index, irows, rows_list, steps, regs, n_universal,
- *                seen, out) -> None */
+ *                seen, out, delta) -> None */
 static PyObject *
 native_extend_matches(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
-    if (nargs != 8) {
-        PyErr_SetString(PyExc_TypeError, "extend_matches expects 8 arguments");
+    if (nargs != 9) {
+        PyErr_SetString(PyExc_TypeError, "extend_matches expects 9 arguments");
+        return NULL;
+    }
+    if (!PyAnySet_Check(args[8])) {
+        PyErr_SetString(PyExc_TypeError, "delta must be a set");
         return NULL;
     }
     NSteps *ns = unpack_steps(args[3]);
@@ -633,7 +669,8 @@ native_extend_matches(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
     long *regs = load_regs(args[4], stack, &n_regs);
     if (regs == NULL)
         return NULL;
-    WalkCtx ctx = {args[0], args[1], args[2], regs, n_regs};
+    PyObject *delta = PySet_GET_SIZE(args[8]) ? args[8] : NULL;
+    WalkCtx ctx = {args[0], args[1], args[2], regs, n_regs, delta};
     int rc = walk_extend(ns, 0, &ctx, n_universal, args[6], args[7]);
     if (regs != stack)
         PyMem_Free(regs);
@@ -662,7 +699,7 @@ native_violation_walk(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
     long *regs = load_regs(args[5], stack, &n_regs);
     if (regs == NULL)
         return NULL;
-    WalkCtx ctx = {args[0], args[1], args[2], regs, n_regs};
+    WalkCtx ctx = {args[0], args[1], args[2], regs, n_regs, NULL};
     int violated = walk_violation(ns, 0, &ctx, activity);
     if (violated == 1 && store_regs(args[5], regs, n_regs) < 0)
         violated = -1;
@@ -689,7 +726,7 @@ native_retraction_walk(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
     long *regs = load_regs(args[4], stack, &n_regs);
     if (regs == NULL)
         return NULL;
-    WalkCtx ctx = {args[0], args[1], args[2], regs, n_regs};
+    WalkCtx ctx = {args[0], args[1], args[2], regs, n_regs, NULL};
     int found = walk_retraction(ns, 0, &ctx, args[5]);
     if (found == 1 && store_regs(args[4], regs, n_regs) < 0)
         found = -1;

@@ -51,11 +51,16 @@ semantics must be applied to all of them; the differential suites
 (``tests/chase/test_kernel_differential.py``,
 ``tests/chase/test_checker_differential.py``,
 ``tests/relational/test_homplan.py``) exist to catch a one-sided edit.
+The one exception is the old/delta split: only :func:`extend_matches`
+and its C twin read :attr:`AtomStep.old_only` (a step tagged by the
+chase's pivot plans skips rows of the round's delta, in the candidate
+loop and in the membership fast path); every other walker is handed
+untagged steps.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Hashable, Sequence, TypeVar
+from typing import AbstractSet, Callable, Hashable, Sequence, TypeVar
 
 from repro.kernel import backend as _backend
 from repro.kernel.state import IntRow, KernelState
@@ -89,12 +94,17 @@ class AtomStep:
     binding). When every column is a probe (``membership`` True) the
     whole step degenerates to one O(1) set-membership test — the common
     case for full-dependency activity checks and implication goals.
+
+    ``old_only`` marks an atom that precedes the pivot of a semi-naive
+    pivot plan: under :func:`extend_matches` it matches only rows
+    outside the round's delta (see :mod:`repro.chase.plan`).
     """
 
     __slots__ = (
         "probes",
         "binds",
         "checks",
+        "old_only",
         "membership",
         "probe_slots",
         "verify_probes",
@@ -105,10 +115,12 @@ class AtomStep:
         probes: ColumnSlots,
         binds: ColumnSlots,
         checks: ColumnSlots,
+        old_only: bool = False,
     ) -> None:
         self.probes = probes
         self.binds = binds
         self.checks = checks
+        self.old_only = old_only
         self.membership = not binds and not checks
         #: Slot per column, for the membership fast path (probes are in
         #: column order by construction).
@@ -139,7 +151,7 @@ def atom_equality_pattern(atom: Sequence[Hashable]) -> ColumnSlots:
 
 
 def compile_atom(
-    slots: Sequence[int], bound: set[int]
+    slots: Sequence[int], bound: set[int], old_only: bool = False
 ) -> tuple[AtomStep, set[int]]:
     """Compile one atom given the already-bound slot set (updated)."""
     probes: list[tuple[int, int]] = []
@@ -155,17 +167,19 @@ def compile_atom(
             binds.append((column, slot))
             bound_here.add(slot)
     bound |= bound_here
-    return AtomStep(tuple(probes), tuple(binds), tuple(checks)), bound
+    return AtomStep(tuple(probes), tuple(binds), tuple(checks), old_only), bound
 
 
 def compile_steps(
-    atom_slots: Sequence[tuple[int, ...]], bound: set[int]
+    atom_slots: Sequence[tuple[int, ...]], bound: set[int], old_before: int = 0
 ) -> tuple[AtomStep, ...]:
     """Greedy most-constrained-first order over ``atom_slots``.
 
     The generic backtracking heuristic, decided once: prefer the
     atom with the most already-bound cells, tie-break on fewer new
-    slots, then on input order (deterministic).
+    slots, then on input order (deterministic). The order loses where
+    each step came from, so the steps compiled from the first
+    ``old_before`` atoms carry :attr:`AtomStep.old_only`.
     """
     remaining = list(range(len(atom_slots)))
     steps: list[AtomStep] = []
@@ -180,7 +194,7 @@ def compile_steps(
             ),
         )
         remaining.remove(best)
-        step, bound = compile_atom(atom_slots[best], bound)
+        step, bound = compile_atom(atom_slots[best], bound, best < old_before)
         steps.append(step)
     return tuple(steps)
 
@@ -231,7 +245,7 @@ def _pack(steps: tuple[AtomStep, ...]) -> object:
         _PACKED_CACHE,
         steps,
         lambda key: native.pack_steps(
-            [(step.probes, step.binds, step.checks) for step in key]
+            [(step.probes, step.binds, step.checks, step.old_only) for step in key]
         ),
         _PACKED_CACHE_MAX,
     )
@@ -250,12 +264,16 @@ def extend_matches(
     n_universal: int,
     seen: set[tuple[int, ...]],
     out: list[tuple[int, ...]],
+    delta: AbstractSet[IntRow],
 ) -> None:
     """Backtracking join over ``steps``; completed matches land in ``out``.
 
     Matches are deduplicated on their first ``n_universal`` registers
-    (the chase's trigger key). See the module NOTE about the
-    deliberately inlined candidate loop.
+    (the chase's trigger key). ``delta`` is the round's delta row set:
+    a step tagged :attr:`AtomStep.old_only` skips the rows in it, so a
+    pivot plan finds a match only at its first delta atom. Untagged
+    steps, or an empty ``delta``, prune nothing. See the module NOTE
+    about the deliberately inlined candidate loop.
     """
     if depth == 0:
         native = _backend.active_native()
@@ -269,6 +287,7 @@ def extend_matches(
                 n_universal,
                 seen,
                 out,
+                delta,
             )
             return
     if depth == len(steps):
@@ -279,10 +298,14 @@ def extend_matches(
         return
     step = steps[depth]
     probes = step.probes
+    # The rows this step keeps off: falsy unless it is tagged and the
+    # delta is not empty.
+    skip = delta if step.old_only else None
     if step.membership:
-        if tuple(regs[slot] for slot in step.probe_slots) in state.irows:
+        irow = tuple(regs[slot] for slot in step.probe_slots)
+        if irow in state.irows and not (skip and irow in skip):
             extend_matches(
-                state, steps, depth + 1, regs, n_universal, seen, out
+                state, steps, depth + 1, regs, n_universal, seen, out, delta
             )
         return
     best: Sequence[IntRow]
@@ -317,9 +340,9 @@ def extend_matches(
             if irow[column] != regs[slot]:
                 ok = False
                 break
-        if ok:
+        if ok and not (skip and irow in skip):
             extend_matches(
-                state, steps, next_depth, regs, n_universal, seen, out
+                state, steps, next_depth, regs, n_universal, seen, out, delta
             )
 
 

@@ -126,7 +126,18 @@ def _walk_results(state):
     # R(x, y, _), R(y, z, _): compose two hops.
     steps = compile_steps([(0, 1, 2), (1, 3, 4)], set())
     seen, out = set(), []
-    extend_matches(state, steps, 0, [0] * 5, 5, seen, out)
+    extend_matches(state, steps, 0, [0] * 5, 5, seen, out, frozenset())
+    # The same join with the first atom kept off a delta of two rows
+    # (the chase's old/delta split): matches using them there drop out.
+    old_steps = compile_steps([(0, 1, 2), (1, 3, 4)], set(), old_before=1)
+    delta = set(state.rows_list[:2])
+    old_out: list = []
+    extend_matches(state, old_steps, 0, [0] * 5, 5, set(), old_out, delta)
+    assert set(old_out) < set(out)
+    assert all(tuple(key[:3]) not in delta for key in old_out)
+    untagged: list = []
+    extend_matches(state, steps, 0, [0] * 5, 5, set(), untagged, delta)
+    assert untagged == out  # only tagged steps read the delta
     regs = [0] * 5
     found = has_extension(state, steps, 0, regs)
     witness = tuple(regs) if found else None
@@ -138,7 +149,7 @@ def _walk_results(state):
     v_witness = tuple(v_regs[:2]) if violated else None
     r_regs = [0] * 5
     retracts = retraction_walk(state, steps, 0, r_regs, set())
-    return sorted(out), found, witness, violated, v_witness, retracts
+    return out, old_out, found, witness, violated, v_witness, retracts
 
 
 @needs_native

@@ -15,9 +15,14 @@ held to:
   SEMI_NAIVE and OBLIVIOUS disciplines, and ``implies`` on top of it;
 * :mod:`tests.oracle.modelcheck` — model checking by search;
 * :mod:`tests.oracle.analysis` — the joint-acyclicity check over every
-  pair of existential variables.
+  pair of existential variables;
+* :mod:`tests.oracle.collect` — the chase's per-round trigger
+  collection before the old/delta split, which enumerates each match
+  once per delta atom.
 
-Nothing here touches the kernel: no interned view, no join plan. Tests
+Apart from :mod:`tests.oracle.collect`, which pins the kernel's own
+firing order and so runs on the kernel's join plans, nothing here
+touches the kernel: no interned view, no join plan. Tests
 and benchmarks import from the submodules (``from tests.oracle.chase
 import chase``); no module under ``src/repro`` may import from here
 (``scripts/lint_invariants.py`` enforces that).
