@@ -3,14 +3,15 @@
 Weak acyclicity is the standard syntactic guarantee of chase termination.
 The Gurevich-Lewis encodings can never have it: a weakly acyclic encoding
 would let the chase decide ``D |= D0`` and hence the word problem,
-contradicting the Main Theorem. This harness measures the analysis and
-records that every encoding is (necessarily) outside the guarantee, while
-the full-TD workloads are inside it.
+contradicting the Main Theorem. This harness measures the analysis
+(:func:`repro.analysis.positions.position_facts`) and records that every
+encoding is (necessarily) outside the guarantee, while the full-TD
+workloads are inside it.
 """
 
 import pytest
 
-from repro.chase.termination import is_weakly_acyclic, termination_report
+from repro.analysis import position_facts
 from repro.dependencies.parser import parse_td
 from repro.reduction.encode import encode
 from repro.workloads.generators import transitivity_family
@@ -26,7 +27,7 @@ def test_encodings_never_weakly_acyclic(benchmark, extra):
     encoding = encode(negative_family(extra))
 
     def analyse():
-        return termination_report(encoding.dependencies)
+        return position_facts(encoding.dependencies)
 
     report = benchmark(analyse)
     assert not report.weakly_acyclic
@@ -41,7 +42,7 @@ def test_encodings_never_weakly_acyclic(benchmark, extra):
 
 def test_positive_encoding_also_outside(benchmark):
     encoding = encode(positive_instance())
-    report = benchmark(termination_report, encoding.dependencies)
+    report = benchmark(position_facts, encoding.dependencies)
     assert not report.weakly_acyclic
     record(
         EXPERIMENT,
@@ -52,7 +53,7 @@ def test_positive_encoding_also_outside(benchmark):
 
 def test_full_td_workloads_inside(benchmark):
     deps, __ = transitivity_family(8)
-    report = benchmark(termination_report, deps)
+    report = benchmark(position_facts, deps)
     assert report.weakly_acyclic
     record(
         EXPERIMENT,
@@ -63,7 +64,7 @@ def test_full_td_workloads_inside(benchmark):
 
 def test_single_embedded_td(benchmark):
     successor = parse_td("R(x, y) -> R(y, s)")
-    report = benchmark(termination_report, [successor])
+    report = benchmark(position_facts, [successor])
     assert not report.weakly_acyclic
     record(
         EXPERIMENT,

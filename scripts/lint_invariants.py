@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Repo-invariant lints the generic linters cannot express.
 
-Six checks, run in CI after the unit suite:
+Seven checks, run in CI after the unit suite:
 
 1. **Metric table agreement** — every metric family registered by a
    module under ``src/repro`` (any ``<registry>.counter/gauge/histogram
@@ -47,6 +47,17 @@ Six checks, run in CI after the unit suite:
    ``io/json_codec.py``, the wire decoder. A second builder is a second
    chase driver or a per-caller ``finish`` callback growing back.
 
+7. **Named modules exist** — every dotted ``repro.…`` name in a
+   docstring of a module under ``src/repro`` or in README.md must
+   resolve: its longest module prefix must be a module file (a ``.py``
+   file, a package, or the C source of an extension module), and the
+   name after it must be defined at that module's top level (a def,
+   class, assignment or import; for an extension, a quoted name in its
+   C source). When that name is a class, a further name must be bound
+   in the class body or assigned to ``self`` by one of its methods. A
+   docstring cannot point readers at a module or function that was
+   deleted or renamed.
+
 Exit codes: 0 clean, 1 violations (printed one per line), 2 a lint
 input file is missing. Run from anywhere::
 
@@ -74,6 +85,10 @@ METRIC_FACTORIES = {"counter", "gauge", "histogram"}
 PATH_MENTION = re.compile(
     r"(?<![\w/.\-])(?:tests|benchmarks|scripts|perfbench|examples)/[\w./<>*{}\-]*"
 )
+
+#: Dotted names under the package, not themselves the tail of a longer
+#: dotted name.
+MODULE_MENTION = re.compile(r"(?<![\w.])repro(?:\.[A-Za-z_]\w*)+")
 
 #: Instance's private storage attributes.
 PRIVATE_STORAGE = {"_rows", "_index"}
@@ -315,6 +330,129 @@ def check_one_chase_result_builder() -> list[str]:
     return problems
 
 
+def docstrings(path: Path) -> list[tuple[str, int]]:
+    """(docstring, line) for the module and every class and function."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(
+            node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+        ):
+            continue
+        if node.body and isinstance(node.body[0], ast.Expr):
+            value = node.body[0].value
+            if isinstance(value, ast.Constant) and isinstance(value.value, str):
+                found.append((value.value, value.lineno))
+    return found
+
+
+def defined_names(body: list[ast.stmt]) -> dict[str, Optional[ast.ClassDef]]:
+    """Names a module or class body binds (its classes mapped to their
+    node), looking into top-level ``if``/``try`` blocks."""
+    names: dict[str, Optional[ast.ClassDef]] = {}
+    for node in body:
+        if isinstance(node, ast.ClassDef):
+            names[node.name] = node
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            names[node.name] = None
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        names[name.id] = None
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                names[(alias.asname or alias.name).split(".")[0]] = None
+        elif isinstance(node, ast.If):
+            names.update(defined_names(node.body + node.orelse))
+        elif isinstance(node, ast.Try):
+            blocks = node.body + node.orelse + node.finalbody
+            for handler in node.handlers:
+                blocks += handler.body
+            names.update(defined_names(blocks))
+    return names
+
+
+def class_members(cls: ast.ClassDef) -> set[str]:
+    """What a class body binds, plus the ``self.<name>`` attributes its
+    methods assign."""
+    members = set(defined_names(cls.body))
+    for node in ast.walk(cls):
+        targets = []
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+            targets = [node.target]
+        for target in targets:
+            if (
+                isinstance(target, ast.Attribute)
+                and isinstance(target.value, ast.Name)
+                and target.value.id == "self"
+            ):
+                members.add(target.attr)
+    return members
+
+
+def module_file(parts: list[str]) -> Optional[Path]:
+    """The file defining module ``repro.<parts>``, if there is one."""
+    base = SRC_ROOT.joinpath(*parts)
+    for candidate in (
+        base.with_suffix(".py"),
+        base / "__init__.py",
+        base.with_suffix(".c"),
+    ):
+        if candidate.is_file():
+            return candidate
+    return None
+
+
+def unresolved(name: str) -> Optional[str]:
+    """Why a dotted ``repro.…`` name does not resolve, or None."""
+    parts = name.split(".")[1:]
+    split = len(parts)
+    while split and module_file(parts[:split]) is None:
+        split -= 1
+    module = module_file(parts[:split])
+    assert module is not None  # the package itself always resolves
+    rest = parts[split:]
+    if not rest:
+        return None
+    owner = ".".join(["repro", *parts[:split]])
+    text = module.read_text()
+    if module.suffix == ".c":
+        if f'"{rest[0]}"' in text:
+            return None
+        return f"extension module {owner} exports no {rest[0]!r}"
+    names = defined_names(ast.parse(text, filename=str(module)).body)
+    if rest[0] not in names:
+        return f"{owner} has no module or top-level name {rest[0]!r}"
+    cls = names[rest[0]]
+    if len(rest) > 1 and cls is not None and rest[1] not in class_members(cls):
+        return f"class {owner}.{rest[0]} defines no {rest[1]!r}"
+    return None
+
+
+def check_named_modules_exist() -> list[str]:
+    problems = []
+    texts = [
+        (path, docstrings(path)) for path in sorted(SRC_ROOT.rglob("*.py"))
+    ]
+    texts.append((README, [(README.read_text(), 1)]))
+    for path, blocks in texts:
+        for text, first_line in blocks:
+            for lineno, line in enumerate(text.splitlines(), start=first_line):
+                for match in MODULE_MENTION.finditer(line):
+                    reason = unresolved(match.group(0))
+                    if reason is not None:
+                        problems.append(
+                            f"{path.relative_to(REPO_ROOT)}:{lineno}: names "
+                            f"{match.group(0)!r}, which does not resolve: "
+                            f"{reason}"
+                        )
+    return problems
+
+
 def main() -> int:
     missing = [path for path in (SRC_ROOT, README) if not path.exists()]
     if missing:
@@ -329,6 +467,7 @@ def main() -> int:
         + check_named_paths_exist()
         + check_one_memo_idiom()
         + check_one_chase_result_builder()
+        + check_named_modules_exist()
     )
     if problems:
         for problem in problems:
@@ -338,7 +477,7 @@ def main() -> int:
     print(
         "invariants ok: metric table matches registrations, Instance "
         "storage sealed, no src module imports tests, named paths exist, "
-        "one memo idiom, one chase-result builder"
+        "one memo idiom, one chase-result builder, named modules exist"
     )
     return 0
 

@@ -8,24 +8,13 @@ Public surface:
   verdict-preserving pruning plus the kept set's certificate/strata.
 * :class:`TerminationCertificate` — derived chase budgets for certified
   sets (``implies``/``chase`` run these to fixpoint; UNKNOWN impossible).
-* The position-graph primitives backing ``repro.chase.termination``.
+* :func:`position_facts` — the position graph's counts, special-cycle
+  witness and rank in one pass (weak acyclicity), and
+  :func:`never_fires`, the one firing-graph fact the strata rest on.
 """
 
-from repro.analysis.firing import (
-    firing_graph,
-    goal_relevant,
-    never_fires,
-    strata_of,
-    stratify,
-)
-from repro.analysis.graph import MultiDiGraph
-from repro.analysis.positions import (
-    PositionEdge,
-    build_position_graph,
-    find_special_cycle,
-    position_ranks,
-    special_cycle_of,
-)
+from repro.analysis.firing import never_fires
+from repro.analysis.positions import PositionEdge, PositionFacts, position_facts
 from repro.analysis.report import (
     AnalysisReport,
     Fragment,
@@ -40,21 +29,14 @@ from repro.analysis.report import (
 __all__ = [
     "AnalysisReport",
     "Fragment",
-    "MultiDiGraph",
     "PositionEdge",
+    "PositionFacts",
     "PrunedDependency",
     "QueryProgram",
     "TerminationCertificate",
     "analyze",
-    "build_position_graph",
     "existential_depth",
-    "find_special_cycle",
-    "firing_graph",
-    "goal_relevant",
     "never_fires",
-    "position_ranks",
+    "position_facts",
     "prune_for_target",
-    "special_cycle_of",
-    "strata_of",
-    "stratify",
 ]

@@ -1,8 +1,7 @@
-"""The Fagin-et-al position graph and weak-acyclicity analysis.
+"""The Fagin-et-al position graph's facts, computed in one pass.
 
-This is the engine behind the public ``repro.chase.termination`` API
-(kept there as thin wrappers for compatibility): build the *dependency
-graph* over the single relation's column positions with
+The *dependency graph* of a set lives on the single relation's column
+positions, with
 
 * a **regular** edge ``p -> q`` whenever some dependency has a
   universal variable occurring in antecedent position ``p`` and
@@ -10,21 +9,27 @@ graph* over the single relation's column positions with
 * a **special** edge ``p => q`` whenever a universal variable occurring
   in antecedent position ``p`` also occurs in the conclusion, and some
   *existential* variable occurs in conclusion position ``q`` (a fresh
-  value in ``q`` can be created from a value in ``p``).
+  value in ``q`` can be created from a value in ``p``),
 
-The set is weakly acyclic when no cycle goes through a special edge;
-then every chase sequence terminates, and :func:`position_ranks` turns
-the acyclic special-edge structure into the per-position *rank* (the
-maximum number of special edges on any walk into the position) that the
-termination certificate's derived budget is computed from.
+one edge per (antecedent occurrence, conclusion occurrence) pair. The
+set is weakly acyclic when no cycle goes through a special edge; then
+every chase sequence terminates, and the acyclic special-edge structure
+gives the *rank* (the maximum number of special edges on any walk into
+a position) that the termination certificate's derived budget is
+computed from.
+
+The analyzer needs four facts of this graph, and :func:`position_facts`
+computes them without building it: the edge counts arithmetically, and
+the witness and rank from a per-source adjacency that keeps, for each
+position pair, the name of its first regular and first special edge.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
-from repro.analysis.graph import MultiDiGraph
 from repro.dependencies.classify import Dependency
 
 
@@ -45,138 +50,144 @@ class PositionEdge:
         )
 
 
-def build_position_graph(dependencies: Sequence[Dependency]) -> MultiDiGraph:
-    """The Fagin-et-al dependency graph over column positions."""
-    graph = MultiDiGraph()
+@dataclass(frozen=True)
+class PositionFacts:
+    """What the analyzer reads off the position graph.
+
+    ``special_cycle`` is None exactly when the set is weakly acyclic;
+    ``rank`` is the maximum position rank then, and None otherwise.
+    """
+
+    position_count: int
+    regular_edge_count: int
+    special_edge_count: int
+    special_cycle: Optional[Tuple[PositionEdge, ...]]
+    rank: Optional[int]
+
+    @property
+    def weakly_acyclic(self) -> bool:
+        return self.special_cycle is None
+
+
+#: Per source position: target -> [first regular name, first special
+#: name], targets in the order their first edge was seen.
+_Adjacency = List[Dict[int, List[Optional[str]]]]
+
+
+def position_facts(dependencies: Sequence[Dependency]) -> PositionFacts:
+    """Position count, edge counts, special-cycle witness and rank.
+
+    The witness is the first special edge ``p => q`` — by source
+    position, then targets in first-seen order — whose target reaches
+    its source, followed by a fewest-edges closing path from ``q`` back
+    to ``p`` (breadth first, successors in first-seen order), each step
+    a regular edge where one exists. The rank comes from longest-path
+    relaxation with special edges weighing 1, which terminates because
+    a weakly acyclic graph has no cycle of positive weight.
+    """
     if not dependencies:
-        return graph
+        return PositionFacts(0, 0, 0, None, 0)
     arity = dependencies[0].schema.arity
-    graph.add_nodes_from(range(arity))
+    adjacency: _Adjacency = [{} for __ in range(arity)]
+    regular = special = 0
     for dependency in dependencies:
         name = getattr(dependency, "name", None) or "dependency"
-        universal = dependency.universal_variables()
-        existential = dependency.existential_variables()
-        conclusion_variables = {
-            variable
-            for atom in dependency.conclusions
-            for variable in atom
-        }
-        existential_positions = sorted(
+        heads: Dict[object, List[int]] = {}
+        for atom in dependency.conclusions:
+            for position, variable in enumerate(atom):
+                heads.setdefault(variable, []).append(position)
+        # Antecedent occurrences of conclusion variables, in order: each
+        # is the source of one edge per conclusion occurrence of its
+        # variable and one special edge per fresh (existential) position.
+        frontier = [
+            (source, variable)
+            for atom in dependency.antecedents
+            for source, variable in enumerate(atom)
+            if variable in heads
+        ]
+        reached = {variable for __, variable in frontier}
+        fresh = sorted(
             {
                 position
-                for atom in dependency.conclusions
-                for position, variable in enumerate(atom)
-                if variable in existential
+                for variable, positions in heads.items()
+                if variable not in reached
+                for position in positions
             }
         )
-        for atom in dependency.antecedents:
-            for position, variable in enumerate(atom):
-                if variable not in universal:
-                    continue
-                if variable not in conclusion_variables:
-                    continue
-                for conclusion_atom in dependency.conclusions:
-                    for target, target_variable in enumerate(conclusion_atom):
-                        if target_variable == variable:
-                            graph.add_edge(
-                                position,
-                                target,
-                                special=False,
-                                dependency_name=name,
-                            )
-                for target in existential_positions:
-                    graph.add_edge(
-                        position, target, special=True, dependency_name=name
-                    )
-    return graph
+        special += len(frontier) * len(fresh)
+        for source, variable in frontier:
+            targets = heads[variable]
+            regular += len(targets)
+            out = adjacency[source]
+            for target in targets:
+                names = out.setdefault(target, [None, None])
+                if names[0] is None:
+                    names[0] = name
+            for target in fresh:
+                names = out.setdefault(target, [None, None])
+                if names[1] is None:
+                    names[1] = name
+    cycle = _special_cycle(adjacency)
+    rank: Optional[int] = None
+    if cycle is None:
+        rank = _rank(adjacency) if special else 0
+    return PositionFacts(arity, regular, special, cycle, rank)
 
 
-def find_special_cycle(
-    dependencies: Sequence[Dependency],
-) -> Optional[List[PositionEdge]]:
-    """A cycle through a special edge, or None when weakly acyclic.
-
-    A special edge lies on a cycle exactly when its endpoints share a
-    strongly connected component; the witness returned is that edge plus
-    a shortest path closing the loop (preferring regular edges for each
-    closing step, so the witness pins the one special edge that matters).
-    """
-    return special_cycle_of(build_position_graph(dependencies))
-
-
-def special_cycle_of(graph: MultiDiGraph) -> Optional[List[PositionEdge]]:
-    """:func:`find_special_cycle` over an already-built position graph."""
-    if graph.number_of_nodes() == 0:
-        return None
-    component_of: Dict[int, int] = {}
-    for index, component in enumerate(graph.strongly_connected_components()):
-        for node in component:
-            component_of[node] = index
-    for source, target, data in graph.edges(data=True):
-        if not data.get("special"):
-            continue
-        if component_of[source] != component_of[target]:
-            continue
-        witness = [
-            PositionEdge(
-                source=source,
-                target=target,
-                special=True,
-                dependency_name=str(data.get("dependency_name", "dependency")),
-            )
-        ]
-        if source != target:
-            path = graph.shortest_path(target, source)
+def _special_cycle(adjacency: _Adjacency) -> Optional[Tuple[PositionEdge, ...]]:
+    for source, out in enumerate(adjacency):
+        for target, (__, special_name) in out.items():
+            if special_name is None:
+                continue
+            path = [target] if target == source else _path(adjacency, target, source)
+            if path is None:
+                continue
+            witness = [PositionEdge(source, target, True, special_name)]
             for step_source, step_target in zip(path, path[1:]):
-                parallel = graph.get_edge_data(step_source, step_target)
-                assert parallel is not None  # path edges exist
-                edge_data = min(
-                    parallel.values(),
-                    key=lambda d: bool(d.get("special", False)),
-                )
+                regular_name, step_special = adjacency[step_source][step_target]
+                step_name = regular_name if regular_name is not None else step_special
+                assert step_name is not None  # every entry holds an edge
                 witness.append(
                     PositionEdge(
-                        source=step_source,
-                        target=step_target,
-                        special=bool(edge_data.get("special")),
-                        dependency_name=str(
-                            edge_data.get("dependency_name", "dependency")
-                        ),
+                        step_source, step_target, regular_name is None, step_name
                     )
                 )
-        return witness
+            return tuple(witness)
     return None
 
 
-def position_ranks(graph: MultiDiGraph) -> Mapping[int, int]:
-    """Per-position rank: max special edges on any walk into the position.
+def _path(adjacency: _Adjacency, start: int, goal: int) -> Optional[List[int]]:
+    """A fewest-edges path from ``start`` to ``goal`` (``start != goal``),
+    or None when ``goal`` is unreachable."""
+    parent: Dict[int, int] = {}
+    queue: Deque[int] = deque([start])
+    seen = {start}
+    while queue:
+        node = queue.popleft()
+        for successor in adjacency[node]:
+            if successor in seen:
+                continue
+            parent[successor] = node
+            if successor == goal:
+                path = [goal]
+                while path[-1] != start:
+                    path.append(parent[path[-1]])
+                path.reverse()
+                return path
+            seen.add(successor)
+            queue.append(successor)
+    return None
 
-    Defined (finite) only for weakly acyclic graphs — callers must have
-    checked :func:`special_cycle_of` first. Computed on the SCC
-    condensation: inside an SCC every edge is regular (a special edge
-    within one would be a special cycle), so rank is constant per
-    component and propagates along condensation edges, +1 across special
-    ones.
-    """
-    components = graph.strongly_connected_components()
-    component_of: Dict[int, int] = {}
-    for index, component in enumerate(components):
-        for node in component:
-            component_of[node] = index
-    # Max edge weight (special = 1) between distinct components.
-    weight: Dict[int, Dict[int, int]] = {}
-    for source, target, data in graph.edges(data=True):
-        cs, ct = component_of[source], component_of[target]
-        if cs == ct:
-            continue
-        edge_weight = 1 if data.get("special") else 0
-        targets = weight.setdefault(cs, {})
-        if edge_weight > targets.get(ct, -1):
-            targets[ct] = edge_weight
-    # Tarjan emits components in reverse topological order; walk them
-    # predecessors-first and push ranks forward.
-    rank = [0] * len(components)
-    for cs in reversed(range(len(components))):
-        for ct, edge_weight in weight.get(cs, {}).items():
-            rank[ct] = max(rank[ct], rank[cs] + edge_weight)
-    return {node: rank[component] for node, component in component_of.items()}
+
+def _rank(adjacency: _Adjacency) -> int:
+    rank = [0] * len(adjacency)
+    changed = True
+    while changed:
+        changed = False
+        for source, out in enumerate(adjacency):
+            for target, (__, special_name) in out.items():
+                reach = rank[source] + (special_name is not None)
+                if reach > rank[target]:
+                    rank[target] = reach
+                    changed = True
+    return max(rank, default=0)

@@ -18,7 +18,8 @@ Fragment facts used by the bound (all over the single relation):
 
 * **FULL** — no existential variables: the chase invents no values, so the
   fixpoint lives inside ``domain(start)^arity``. Rank 0.
-* **WEAKLY_ACYCLIC** — position-graph rank ``r`` is finite; a null created
+* **WEAKLY_ACYCLIC** — position-graph rank ``r`` is finite (see
+  :func:`repro.analysis.positions.position_facts`); a null created
   at a rank-``i`` position is a function of a *frontier* assignment drawn
   from positions of rank ``< i`` (each frontier position has a special edge
   into the null's position, forcing its rank lower), and the restricted
@@ -51,13 +52,8 @@ import enum
 from dataclasses import dataclass, replace
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from repro.analysis.firing import firing_graph_of, never_fires, strata_of
-from repro.analysis.positions import (
-    PositionEdge,
-    build_position_graph,
-    position_ranks,
-    special_cycle_of,
-)
+from repro.analysis.firing import never_fires
+from repro.analysis.positions import PositionEdge, position_facts
 from repro.chase.budget import Budget
 from repro.dependencies.canonical import canonical_key
 from repro.dependencies.classify import Dependency
@@ -137,13 +133,29 @@ class AnalysisReport:
     position_count: int
     regular_edge_count: int
     special_edge_count: int
-    strata: Tuple[Tuple[int, ...], ...]
     never_firing: Tuple[int, ...]
     dependency_count: int
 
     @property
     def certified(self) -> bool:
         return self.certificate is not None
+
+    @property
+    def strata(self) -> Tuple[Tuple[int, ...], ...]:
+        """The firing graph's condensation, in topological order.
+
+        Each never-firing dependency is a singleton stratum, listed
+        first in descending index order; the productive dependencies
+        form one stratum, since with one relation every productive rule
+        can wake every other (see :mod:`repro.analysis.firing`).
+        """
+        never = set(self.never_firing)
+        productive = tuple(
+            index for index in range(self.dependency_count) if index not in never
+        )
+        return tuple((index,) for index in reversed(self.never_firing)) + (
+            (productive,) if productive else ()
+        )
 
     def describe(self, attributes: Optional[Sequence[str]] = None) -> str:
         names = attributes or [str(i) for i in range(self.position_count)]
@@ -317,19 +329,9 @@ def _analysis(
 def _analyze(
     dependencies: Tuple[Dependency, ...], fires: Optional[Sequence[bool]]
 ) -> AnalysisReport:
-    position_graph = build_position_graph(dependencies)
-    cycle = special_cycle_of(position_graph)
-    weakly = cycle is None
-    special_edges = sum(
-        1
-        for *__, data in position_graph.edges(data=True)
-        if data.get("special")
-    )
-    regular_edges = position_graph.number_of_edges() - special_edges
-
+    positions = position_facts(dependencies)
     if fires is None:
         fires = [not never_fires(dependency) for dependency in dependencies]
-    strata = strata_of(firing_graph_of(fires))
     never = tuple(index for index, flag in enumerate(fires) if not flag)
 
     depth = existential_depth(dependencies)
@@ -349,9 +351,9 @@ def _analyze(
     if full:
         fragment = Fragment.FULL
         rank = 0
-    elif weakly:
+    elif positions.rank is not None:
         fragment = Fragment.WEAKLY_ACYCLIC
-        rank = max(position_ranks(position_graph).values(), default=0)
+        rank = positions.rank
     elif jointly:
         fragment = Fragment.JOINTLY_ACYCLIC
         rank = depth or 0
@@ -377,14 +379,13 @@ def _analyze(
 
     return AnalysisReport(
         fragment=fragment,
-        weakly_acyclic=weakly,
+        weakly_acyclic=positions.weakly_acyclic,
         jointly_acyclic=jointly,
         certificate=certificate,
-        special_cycle=tuple(cycle) if cycle else None,
-        position_count=position_graph.number_of_nodes(),
-        regular_edge_count=regular_edges,
-        special_edge_count=special_edges,
-        strata=strata,
+        special_cycle=positions.special_cycle,
+        position_count=positions.position_count,
+        regular_edge_count=positions.regular_edge_count,
+        special_edge_count=positions.special_edge_count,
         never_firing=never,
         dependency_count=len(dependencies),
     )
@@ -450,27 +451,22 @@ _PRUNE_CACHE: Dict[Tuple[Dependency, ...], QueryProgram] = {}
 _PRUNE_CACHE_MAX = 256
 
 
-def prune_for_target(
-    dependencies: Sequence[Dependency], target: Optional[Dependency] = None
-) -> QueryProgram:
+def prune_for_target(dependencies: Sequence[Dependency]) -> QueryProgram:
     """An equivalent program with verdict-irrelevant dependencies dropped.
 
     Three both-verdict-preserving reductions, in order:
 
-    1. **never-firing** dependencies (goal-directed: these are exactly
-       the ones with no firing-graph path to the goal, see
-       :func:`repro.analysis.firing.goal_relevant`);
+    1. **never-firing** dependencies (with one relation these are
+       exactly the ones with no firing-graph path to the goal, see
+       :mod:`repro.analysis.firing`);
     2. **duplicates** up to variable renaming (:func:`canonical_key`);
     3. **entailed** dependencies — a bounded chase proving the rest
        already implies a dependency makes the theory, hence its universal
        models and any goal check over them, identical without it.
 
-    The result is target-independent at this single-relation granularity
-    (the ``target`` parameter documents intent and keeps the signature
-    stable if multi-relation reachability lands later), so it is cached
-    per premise tuple.
+    The result is target-independent at this single-relation
+    granularity, so it is cached per premise tuple.
     """
-    del target
     return memoized(
         _PRUNE_CACHE, tuple(dependencies), _prune, _PRUNE_CACHE_MAX
     )

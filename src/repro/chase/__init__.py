@@ -31,11 +31,6 @@ from repro.chase.implication import (
 )
 from repro.chase.modelcheck import all_violations, satisfies_all
 from repro.chase.result import ChaseResult, ChaseStatus, ChaseStep
-from repro.chase.termination import (
-    TerminationReport,
-    is_weakly_acyclic,
-    termination_report,
-)
 
 __all__ = [
     "Budget",
@@ -52,9 +47,6 @@ __all__ = [
     "ChaseResult",
     "ChaseStatus",
     "ChaseStep",
-    "is_weakly_acyclic",
-    "termination_report",
-    "TerminationReport",
     "InferenceOutcome",
     "InferenceStatus",
     "implies",

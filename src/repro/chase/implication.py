@@ -226,7 +226,7 @@ def implies(
     if analysis != "off":
         from repro.analysis.report import prune_for_target
 
-        program = prune_for_target(tuple(dependencies), target)
+        program = prune_for_target(tuple(dependencies))
         derived = None
         certificate = program.certificate
         if certificate is not None and (budget is None or analysis == "derive"):

@@ -665,7 +665,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         else None
     )
     report = analyze(tuple(dependencies))
-    program = prune_for_target(tuple(dependencies), target)
+    program = prune_for_target(tuple(dependencies))
     derived = None
     if program.certificate is not None and target is not None:
         start, __ = _freeze_target(target)

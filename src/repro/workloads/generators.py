@@ -151,12 +151,13 @@ def weakly_acyclic_dependencies(
 
     Draws candidate sets of embedded :func:`random_td` (plus one
     :func:`random_eid` when ``include_eids``) and keeps the first that
-    passes :func:`repro.chase.termination.is_weakly_acyclic` — the
-    standard sufficient criterion under which **all** chase orders
-    terminate polynomially, which is what makes these sets safe ground
-    truth for kernel-differential testing. Deterministic in ``seed``.
+    is weakly acyclic (:func:`repro.analysis.positions.position_facts`)
+    — the standard sufficient criterion under which **all** chase
+    orders terminate polynomially, which is what makes these sets safe
+    ground truth for kernel-differential testing. Deterministic in
+    ``seed``.
     """
-    from repro.chase.termination import is_weakly_acyclic
+    from repro.analysis.positions import position_facts
 
     schema = schema if schema is not None else _default_schema(arity)
     for attempt in range(max_attempts):
@@ -175,7 +176,7 @@ def weakly_acyclic_dependencies(
             dependencies.append(
                 random_eid(arity=schema.arity, seed=base + count, schema=schema)
             )
-        if is_weakly_acyclic(dependencies):
+        if position_facts(dependencies).weakly_acyclic:
             return dependencies
     raise RuntimeError(
         f"no weakly acyclic set found in {max_attempts} attempts (seed {seed})"

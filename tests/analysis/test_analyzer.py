@@ -1,7 +1,7 @@
 """Unit tests for the static dependency analyzer.
 
-Covers the dependency-free graph layer, fragment classification across
-the hierarchy (full TGD / weakly acyclic / jointly acyclic / stratified
+Covers the position-graph facts, fragment classification across the
+hierarchy (full TGD / weakly acyclic / jointly acyclic / stratified
 / none), derived termination bounds, never-fires detection, and the
 goal-directed pruning pass with its three drop reasons.
 """
@@ -13,15 +13,11 @@ import pytest
 from repro.analysis import (
     AnalysisReport,
     Fragment,
-    MultiDiGraph,
     analyze,
-    build_position_graph,
     existential_depth,
-    find_special_cycle,
     never_fires,
-    position_ranks,
+    position_facts,
     prune_for_target,
-    stratify,
 )
 from repro.chase.budget import Budget
 from repro.chase.implication import InferenceStatus, implies
@@ -29,49 +25,6 @@ from repro.dependencies.parser import parse_td
 from repro.reduction.encode import encode
 from repro.workloads.generators import disguise, transitivity_family
 from repro.workloads.instances import negative_instance, positive_instance
-
-
-# ---------------------------------------------------------------------------
-# Graph layer
-
-
-class TestMultiDiGraph:
-    def test_parallel_edges_are_kept(self):
-        graph = MultiDiGraph()
-        graph.add_edge(0, 1, special=False)
-        graph.add_edge(0, 1, special=True)
-        assert graph.number_of_edges() == 2
-        data = graph.get_edge_data(0, 1)
-        assert data is not None
-        assert sorted(d["special"] for d in data.values()) == [False, True]
-
-    def test_scc_groups_cycles(self):
-        graph = MultiDiGraph()
-        graph.add_edge(0, 1)
-        graph.add_edge(1, 0)
-        graph.add_edge(1, 2)
-        components = list(graph.strongly_connected_components())
-        assert {frozenset(c) for c in components} == {
-            frozenset({0, 1}),
-            frozenset({2}),
-        }
-
-    def test_scc_order_is_reverse_topological(self):
-        graph = MultiDiGraph()
-        graph.add_edge(0, 1)
-        graph.add_edge(1, 2)
-        components = list(graph.strongly_connected_components())
-        # Sinks first: 2 before 1 before 0.
-        assert components == [{2}, {1}, {0}]
-
-    def test_shortest_path(self):
-        graph = MultiDiGraph()
-        graph.add_edge(0, 1)
-        graph.add_edge(1, 2)
-        graph.add_edge(0, 2)
-        assert graph.shortest_path(0, 2) == [0, 2]
-        with pytest.raises(ValueError):
-            graph.shortest_path(2, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -144,27 +97,25 @@ class TestExistentialDepth:
 
 
 # ---------------------------------------------------------------------------
-# Position graph plumbing (wrappers around the old termination module)
+# Position graph facts
 
 
 class TestPositionGraph:
     def test_special_cycle_witness_for_successor(self):
         successor = parse_td("R(x,y) -> R(y,z)")
-        cycle = find_special_cycle((successor,))
+        cycle = position_facts((successor,)).special_cycle
         assert cycle is not None
         assert any(edge.special for edge in cycle)
 
     def test_ranks_bounded_for_acyclic_graph(self):
-        graph = build_position_graph((parse_td("R(x,y) -> R(x,z)"),))
-        ranks = position_ranks(graph)
-        assert ranks is not None
-        assert max(ranks.values()) >= 1
+        facts = position_facts((parse_td("R(x,y) -> R(x,z)"),))
+        assert facts.rank is not None
+        assert facts.rank >= 1
 
     def test_full_set_ranks_are_zero(self):
         # No special edges at all: every position sits at rank 0.
-        graph = build_position_graph((parse_td("R(x,y) & R(y,z) -> R(x,z)"),))
-        ranks = position_ranks(graph)
-        assert set(ranks.values()) == {0}
+        facts = position_facts((parse_td("R(x,y) & R(y,z) -> R(x,z)"),))
+        assert facts.rank == 0
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +149,7 @@ class TestFiring:
     def test_stratify_orders_never_firing_first(self):
         symmetry = parse_td("R(x,y) -> R(y,x)")
         trivial = parse_td("R(x,y) & R(y,z) -> R(x,w)")
-        strata = stratify((symmetry, trivial))
+        strata = analyze((symmetry, trivial)).strata
         assert len(strata) == 2
         # The never-firing dependency forms its own leading stratum.
         assert strata[0] == (1,)
@@ -248,7 +199,7 @@ class TestPruning:
     def test_never_firing_dependency_is_dropped(self):
         transitivity = parse_td("R(x,y) & R(y,z) -> R(x,z)")
         trivial = parse_td("R(x,y) & R(y,z) -> R(x,w)")
-        program = prune_for_target((transitivity, trivial), None)
+        program = prune_for_target((transitivity, trivial))
         assert len(program.kept) == 1
         assert program.kept[0] == transitivity
         assert [d.reason for d in program.dropped] == ["never-fires"]
@@ -256,14 +207,14 @@ class TestPruning:
     def test_alpha_renamed_duplicate_is_dropped(self):
         transitivity = parse_td("R(x,y) & R(y,z) -> R(x,z)")
         duplicate = disguise(transitivity, seed=7)
-        program = prune_for_target((transitivity, duplicate), None)
+        program = prune_for_target((transitivity, duplicate))
         assert len(program.kept) == 1
         assert any(d.reason == "duplicate" for d in program.dropped)
 
     def test_entailed_shortcut_is_dropped(self):
         transitivity = parse_td("R(x,y) & R(y,z) -> R(x,z)")
         shortcut = parse_td("R(x,y) & R(y,z) & R(z,u) -> R(x,u)")
-        program = prune_for_target((transitivity, shortcut), None)
+        program = prune_for_target((transitivity, shortcut))
         assert len(program.kept) == 1
         assert any(d.reason == "entailed" for d in program.dropped)
 

@@ -121,5 +121,5 @@ class TestNonTerminatingSetsNeverCertified:
     def test_pruning_never_unlocks_certification_for_successor(self):
         successor = parse_td("R(x,y) -> R(y,z)")
         trivial = parse_td("R(x,y) & R(y,z) -> R(x,w)")
-        program = prune_for_target((successor, trivial), None)
+        program = prune_for_target((successor, trivial))
         assert program.certificate is None

@@ -15,7 +15,10 @@ held to:
   SEMI_NAIVE and OBLIVIOUS disciplines, and ``implies`` on top of it;
 * :mod:`tests.oracle.modelcheck` — model checking by search;
 * :mod:`tests.oracle.analysis` — the joint-acyclicity check over every
-  pair of existential variables;
+  pair of existential variables, the position graph with its
+  special-cycle witness and ranks, and the firing graph's strata;
+* :mod:`tests.oracle.graph` — the directed multigraph those analyses
+  build;
 * :mod:`tests.oracle.collect` — the chase's per-round trigger
   collection before the old/delta split, which enumerates each match
   once per delta atom.

@@ -206,7 +206,7 @@ def implies(
     if analysis != "off":
         from repro.analysis.report import prune_for_target
 
-        program = prune_for_target(tuple(dependencies), target)
+        program = prune_for_target(tuple(dependencies))
         derived = None
         if (
             program.certificate is not None

@@ -1,19 +1,14 @@
-"""A minimal directed multigraph (pure Python, stdlib only).
+"""A minimal directed multigraph (pure Python, stdlib only; test-only).
 
-:mod:`repro.analysis` needs exactly four graph operations — multi-edge
-storage with per-edge attributes, strongly connected components,
-shortest paths, and edge iteration — and the repository's only consumer
-of ``networkx`` (the old ``chase/termination.py``) needed the same
-four. ``networkx`` was never declared in ``install_requires``, so a
-clean environment could import a module that crashed on first use; this
-module replaces it with ~150 lines exposing the same query surface
-(``add_nodes_from`` / ``add_edge`` / ``edges(data=True)`` /
-``get_edge_data`` / ``number_of_nodes`` / ``number_of_edges``), so the
-termination API and its tests keep working verbatim.
+The reference analyses in :mod:`tests.oracle.analysis` need four graph
+operations: multi-edge storage with per-edge attributes, strongly
+connected components, shortest paths and edge iteration. ``src/`` no
+longer builds a graph at all — :func:`repro.analysis.positions.position_facts`
+computes the same facts in one pass over the positions — so the class
+lives here as the construction those facts are held to.
 
-Nodes are integers throughout the analyzer (column positions, or
-dependency/existential-variable indices), which keeps the strict-typing
-surface small.
+Nodes are integers throughout (column positions, or dependency /
+existential-variable indices).
 """
 
 from __future__ import annotations

@@ -92,10 +92,10 @@ def test_semi_naive_agrees_with_standard(data):
 @settings(max_examples=30, deadline=None)
 def test_weak_acyclicity_guarantee(data):
     """Weakly acyclic single TDs terminate within a generous budget."""
-    from repro.chase.termination import is_weakly_acyclic
+    from repro.analysis import position_facts
 
     __, td, instance = data
-    if not is_weakly_acyclic([td]):
+    if not position_facts([td]).weakly_acyclic:
         return
     result = chase(instance, [td], budget=Budget(max_steps=5_000, max_seconds=20))
     assert result.status is ChaseStatus.TERMINATED

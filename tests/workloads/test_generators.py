@@ -107,12 +107,12 @@ class TestRandomEid:
 
 class TestWeaklyAcyclicDependencies:
     def test_deterministic_and_weakly_acyclic(self):
-        from repro.chase.termination import is_weakly_acyclic
+        from repro.analysis import position_facts
         from repro.workloads.generators import weakly_acyclic_dependencies
 
         deps = weakly_acyclic_dependencies(seed=5)
         assert deps == weakly_acyclic_dependencies(seed=5)
-        assert is_weakly_acyclic(deps)
+        assert position_facts(deps).weakly_acyclic
 
     @pytest.mark.parametrize("seed", range(4))
     def test_every_chase_order_terminates(self, seed):
