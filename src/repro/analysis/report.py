@@ -27,10 +27,11 @@ Fragment facts used by the bound (all over the single relation):
   dependency. So value counts satisfy ``N_{i+1} <= N_i + d*E*N_i^V``.
 * **JOINTLY_ACYCLIC** — the Krötzsch–Rudolph existential-dependency graph
   is acyclic; its longest path plays the role of the rank.
-* **STRATIFIED** — the *productive* subset (never-firing dependencies
-  removed, see :func:`repro.analysis.firing.never_fires`) falls in one of
-  the fragments above; the removed dependencies hold in every database,
-  so they change neither the chase nor the bound.
+* **STRATIFIED** — the *productive* subset (never-firing, i.e. trivial,
+  dependencies removed, see
+  :meth:`repro.dependencies.eid.EmbeddedImplicationalDependency.is_trivial`)
+  falls in one of the fragments above; the removed dependencies hold in
+  every database, so they change neither the chase nor the bound.
 
 Every active restricted-chase firing adds at least one row (a TD firing
 whose row already existed would not have passed the activity check; an EID
@@ -52,7 +53,6 @@ import enum
 from dataclasses import dataclass, replace
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from repro.analysis.firing import never_fires
 from repro.analysis.positions import PositionEdge, position_facts
 from repro.chase.budget import Budget
 from repro.dependencies.canonical import canonical_key
@@ -146,8 +146,11 @@ class AnalysisReport:
 
         Each never-firing dependency is a singleton stratum, listed
         first in descending index order; the productive dependencies
-        form one stratum, since with one relation every productive rule
-        can wake every other (see :mod:`repro.analysis.firing`).
+        form one stratum. With one relation, never-firing is the only
+        sound refinement of the dependency-to-dependency firing graph:
+        any new row can take part in a match of any antecedent (a
+        homomorphism may collapse every antecedent atom onto one row),
+        so every productive dependency can wake every other.
         """
         never = set(self.never_firing)
         productive = tuple(
@@ -316,8 +319,8 @@ def analyze(dependencies: Sequence[Dependency]) -> AnalysisReport:
 def _analysis(
     key: Tuple[Dependency, ...], fires: Optional[Sequence[bool]]
 ) -> AnalysisReport:
-    """:func:`analyze`, given ``not never_fires`` per dependency when the
-    caller already knows it (None: compute it on a miss)."""
+    """:func:`analyze`, given ``not is_trivial()`` per dependency when
+    the caller already knows it (None: compute it on a miss)."""
     return memoized(
         _ANALYSIS_CACHE,
         key,
@@ -331,19 +334,12 @@ def _analyze(
 ) -> AnalysisReport:
     positions = position_facts(dependencies)
     if fires is None:
-        fires = [not never_fires(dependency) for dependency in dependencies]
+        fires = [not dependency.is_trivial() for dependency in dependencies]
     never = tuple(index for index, flag in enumerate(fires) if not flag)
 
     depth = existential_depth(dependencies)
     jointly = depth is not None
     full = all(dependency.is_full() for dependency in dependencies)
-    arity = dependencies[0].schema.arity if dependencies else 0
-    max_universals = max(
-        (len(d.universal_variables()) for d in dependencies), default=0
-    )
-    max_existentials = max(
-        (len(d.existential_variables()) for d in dependencies), default=0
-    )
 
     certificate: Optional[TerminationCertificate] = None
     fragment = Fragment.NONE
@@ -372,9 +368,13 @@ def _analyze(
             fragment=fragment,
             rank=rank,
             dependency_count=len(dependencies),
-            arity=arity,
-            max_universals=max_universals,
-            max_existentials=max_existentials,
+            arity=dependencies[0].schema.arity if dependencies else 0,
+            max_universals=max(
+                (len(d.universal_variables()) for d in dependencies), default=0
+            ),
+            max_existentials=max(
+                (len(d.existential_variables()) for d in dependencies), default=0
+            ),
         )
 
     return AnalysisReport(
@@ -436,14 +436,10 @@ class QueryProgram:
         }
 
 
-#: Entailment pruning chases every candidate against the rest, gated to
-#: small sets and a tiny budget. The gate bounds the cost but does not
-#: make it cheap: on the GL encodings of negative_family(0) and (1) (8
-#: and 16 kept premises) it runs 8 and 16 chases, almost all UNKNOWN at
-#: the 256-step budget: a cold prune_for_target takes 0.5-1.05 s of CPU
-#: per premise set in the gl_reduction premise orders (CPython 3.11,
-#: 2-CPU host, python join backend), against the 1-2 ms the query then
-#: takes warm.
+#: Entailment pruning chases a candidate against the rest, under a tiny
+#: budget, only when the rest is certified; the paper's encodings never
+#: are, so pruning them runs no chase. The cap still bounds the pass on
+#: large certified sets: one chase per kept premise, 16 at most.
 _ENTAILMENT_MAX_DEPENDENCIES = 16
 _ENTAILMENT_BUDGET = Budget(max_steps=256, max_rows=2048, max_seconds=None)
 
@@ -456,13 +452,16 @@ def prune_for_target(dependencies: Sequence[Dependency]) -> QueryProgram:
 
     Three both-verdict-preserving reductions, in order:
 
-    1. **never-firing** dependencies (with one relation these are
-       exactly the ones with no firing-graph path to the goal, see
-       :mod:`repro.analysis.firing`);
+    1. **never-firing** (trivial) dependencies — with one relation these
+       are exactly the ones with no firing-graph path to the goal (see
+       :attr:`AnalysisReport.strata`);
     2. **duplicates** up to variable renaming (:func:`canonical_key`);
     3. **entailed** dependencies — a bounded chase proving the rest
        already implies a dependency makes the theory, hence its universal
-       models and any goal check over them, identical without it.
+       models and any goal check over them, identical without it. A
+       candidate is tried only when the rest is certified: an
+       uncertified program runs whole and budgeted anyway, so a drop
+       there would change only provenance.
 
     The result is target-independent at this single-relation
     granularity, so it is cached per premise tuple.
@@ -478,14 +477,17 @@ def _prune(key: Tuple[Dependency, ...]) -> QueryProgram:
     kept_indices: List[int] = []
     never = set(report.never_firing)
     seen_keys: Set[tuple] = set()
+    names = [
+        dependency.name or f"dependency[{index}]"
+        for index, dependency in enumerate(key)
+    ]
     for index, dependency in enumerate(key):
-        name = getattr(dependency, "name", None) or f"dependency[{index}]"
         if index in never:
-            dropped.append(PrunedDependency(index, name, "never-fires"))
+            dropped.append(PrunedDependency(index, names[index], "never-fires"))
             continue
         shape = canonical_key(dependency)
         if shape in seen_keys:
-            dropped.append(PrunedDependency(index, name, "duplicate"))
+            dropped.append(PrunedDependency(index, names[index], "duplicate"))
             continue
         seen_keys.add(shape)
         kept_indices.append(index)
@@ -496,11 +498,11 @@ def _prune(key: Tuple[Dependency, ...]) -> QueryProgram:
 
         survivors: List[int] = []
         for position, index in enumerate(kept_indices):
-            others = [
+            others = tuple(
                 key[other]
                 for other in survivors + kept_indices[position + 1 :]
-            ]
-            if others:
+            )
+            if others and _analysis(others, (True,) * len(others)).certified:
                 outcome = implies(
                     others,
                     key[index],
@@ -509,12 +511,8 @@ def _prune(key: Tuple[Dependency, ...]) -> QueryProgram:
                     analysis="off",
                 )
                 if outcome.status is InferenceStatus.PROVED:
-                    name = (
-                        getattr(key[index], "name", None)
-                        or f"dependency[{index}]"
-                    )
                     dropped.append(
-                        PrunedDependency(index, name, "entailed")
+                        PrunedDependency(index, names[index], "entailed")
                     )
                     continue
             survivors.append(index)

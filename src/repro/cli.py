@@ -654,7 +654,7 @@ def _cmd_models(args: argparse.Namespace) -> int:
 def _cmd_analyze(args: argparse.Namespace) -> int:
     import json
 
-    from repro.analysis import analyze, prune_for_target
+    from repro.analysis import prune_for_target
     from repro.chase.implication import _freeze_target
 
     dependencies = parse_dependency_file(Path(args.deps).read_text())
@@ -664,8 +664,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         if args.target is not None
         else None
     )
-    report = analyze(tuple(dependencies))
     program = prune_for_target(tuple(dependencies))
+    report = program.report
     derived = None
     if program.certificate is not None and target is not None:
         start, __ = _freeze_target(target)

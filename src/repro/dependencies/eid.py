@@ -22,6 +22,7 @@ from __future__ import annotations
 from typing import Iterable, Iterator, Optional, Sequence
 
 from repro.errors import ArityError, DependencyError
+from repro.relational.homplan import find_homomorphism
 from repro.relational.instance import Instance
 from repro.relational.schema import Schema
 from repro.dependencies.template import (
@@ -101,6 +102,34 @@ class EmbeddedImplicationalDependency:
     def is_typed(self) -> bool:
         """True when every variable occupies a single column."""
         return self._typed
+
+    def is_trivial(self) -> bool:
+        """True when the EID holds in every database.
+
+        That is when every conclusion atom maps into the antecedent set
+        under one substitution fixing every universal variable (shared
+        existentials must map consistently). Any antecedent match then
+        already witnesses the conclusion, so the restricted chase never
+        finds an active trigger for it: dropping it changes neither the
+        chase nor any goal check.
+        """
+        antecedent_instance = Instance(
+            self.schema, (tuple(atom) for atom in self.antecedents)  # type: ignore[arg-type]
+        )
+        universals = self.universal_variables()
+        identity = {
+            variable: variable
+            for atom in self.conclusions
+            for variable in atom
+            if variable in universals
+        }
+        extension = find_homomorphism(
+            list(self.conclusions),
+            antecedent_instance,
+            partial=identity,
+            flexible=is_variable,
+        )
+        return extension is not None
 
     def is_template_dependency(self) -> bool:
         """True when the conclusion conjunction is a single atom."""

@@ -13,7 +13,11 @@ The syntax mirrors how the paper writes dependencies:
 * variable names may contain letters, digits, underscores, primes (``'``)
   and a ``*`` suffix — matching the paper's ``a*, b', c''`` style;
 * conclusion variables absent from the antecedents are existential, no
-  annotation needed (the ``*`` is just part of the name).
+  annotation needed (the ``*`` is just part of the name);
+* the reduction's ``attribute@node`` names (``E@3``, ``A0''@1``,
+  ``0'@*``) and an optional ``label:`` prefix (``D1[A0.0=0]:``, which
+  becomes the dependency's name) are accepted too, so the lines
+  ``repro encode --full`` prints parse back to the same dependencies.
 
 A single conclusion atom parses to a
 :class:`~repro.dependencies.template.TemplateDependency`; several parse to
@@ -31,7 +35,14 @@ from repro.dependencies.eid import EmbeddedImplicationalDependency
 from repro.dependencies.template import TemplateDependency, Variable
 
 _ATOM_RE = re.compile(r"\s*([A-Za-z_][A-Za-z0-9_]*)\s*\(([^()]*)\)\s*")
-_VARIABLE_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_']*\*?")
+_VARIABLE_RE = re.compile(
+    r"[A-Za-z_][A-Za-z0-9_']*\*?"  # the paper's a, b', c*
+    r"|[A-Za-z0-9_]+'{0,2}@(?:[0-9]+|\*)"  # the reduction's E@3, 0''@*
+)
+#: ``D0:`` or ``D1[A0.0=0]:`` before the first atom.
+_LABEL_RE = re.compile(
+    r"\s*([A-Za-z_][A-Za-z0-9_]*(?:\[[^\s\[\]]*\])?)\s*:(.*)", re.DOTALL
+)
 
 Dependency = Union[TemplateDependency, EmbeddedImplicationalDependency]
 
@@ -72,8 +83,12 @@ def parse_dependency(text: str, schema: Optional[Schema] = None) -> Dependency:
     """Parse ``text`` into a TD or an EID.
 
     When ``schema`` is omitted, a default schema ``A1..Ak`` matching the
-    atoms' arity is synthesised.
+    atoms' arity is synthesised. A ``label:`` prefix names the result.
     """
+    name: Optional[str] = None
+    labelled = _LABEL_RE.fullmatch(text)
+    if labelled is not None:
+        name, text = labelled.group(1), labelled.group(2)
     for arrow in ("->", "=>"):
         if arrow in text:
             left, __, right = text.partition(arrow)
@@ -98,8 +113,8 @@ def parse_dependency(text: str, schema: Optional[Schema] = None) -> Dependency:
             f"atoms have arity {arity} but the schema has arity {schema.arity}"
         )
     if len(conclusions) == 1:
-        return TemplateDependency(schema, antecedents, conclusions[0])
-    return EmbeddedImplicationalDependency(schema, antecedents, conclusions)
+        return TemplateDependency(schema, antecedents, conclusions[0], name=name)
+    return EmbeddedImplicationalDependency(schema, antecedents, conclusions, name=name)
 
 
 def parse_td(text: str, schema: Optional[Schema] = None) -> TemplateDependency:

@@ -27,7 +27,6 @@ from __future__ import annotations
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from repro.errors import ArityError, DependencyError, TypingError
-from repro.relational.homplan import find_homomorphism
 from repro.relational.instance import Instance, Row
 from repro.relational.schema import Schema
 from repro.relational.values import Const, NullFactory, Value
@@ -233,20 +232,11 @@ class TemplateDependency:
         A TD is trivial when the conclusion atom maps into the antecedent
         set by a substitution that fixes every universal variable (the
         existential variables may go anywhere). Such a TD holds in every
-        database.
+        database. It is the one-atom case of the EID test, which decides it.
         """
-        antecedent_instance = Instance(
-            self.schema, (tuple(atom) for atom in self.antecedents)  # type: ignore[arg-type]
-        )
-        universals = self.universal_variables()
-        identity = {variable: variable for variable in set(self.conclusion) & universals}
-        extension = find_homomorphism(
-            [self.conclusion],
-            antecedent_instance,
-            partial=identity,
-            flexible=is_variable,
-        )
-        return extension is not None
+        from repro.dependencies.eid import td_as_eid
+
+        return td_as_eid(self).is_trivial()
 
     # ------------------------------------------------------------------
     # Semantics

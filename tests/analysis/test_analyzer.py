@@ -15,13 +15,12 @@ from repro.analysis import (
     Fragment,
     analyze,
     existential_depth,
-    never_fires,
     position_facts,
     prune_for_target,
 )
 from repro.chase.budget import Budget
 from repro.chase.implication import InferenceStatus, implies
-from repro.dependencies.parser import parse_td
+from repro.dependencies.parser import parse_dependency, parse_td
 from repro.reduction.encode import encode
 from repro.workloads.generators import disguise, transitivity_family
 from repro.workloads.instances import negative_instance, positive_instance
@@ -142,9 +141,19 @@ class TestGLEncodings:
 class TestFiring:
     def test_reflexive_projection_never_fires(self):
         dep = parse_td("R(x,y) -> R(x,x)")
-        assert not never_fires(dep)
+        assert not dep.is_trivial()
         trivial = parse_td("R(x,y) & R(y,z) -> R(x,w)")
-        assert never_fires(trivial)
+        assert trivial.is_trivial()
+
+    def test_eid_conclusions_embed_under_one_substitution(self):
+        # w -> y maps both conclusion atoms into the antecedents.
+        joint = parse_dependency("R(x,y) & R(y,z) -> R(x,w) & R(w,z)")
+        assert joint.is_trivial()
+        # Each atom embeds alone (w -> y, then w -> u), never both at once.
+        split = parse_dependency("R(x,y) & R(u,z) -> R(x,w) & R(w,z)")
+        assert not split.is_trivial()
+        assert all(td.is_trivial() for td in split.split())
+        assert analyze((split, joint)).never_firing == (1,)
 
     def test_stratify_orders_never_firing_first(self):
         symmetry = parse_td("R(x,y) -> R(y,x)")

@@ -7,7 +7,7 @@ return the same value — ``None`` or the same depth — on a seeded corpus
 of random TD/EID sets, on the paper's reductions and on their
 productive subsets. The second half pins what :func:`analyze` reports
 as independent of premise order and variable names, and checks that
-:func:`prune_for_target` decides never-fires once per dependency.
+:func:`prune_for_target` decides triviality once per dependency.
 """
 
 from __future__ import annotations
@@ -18,8 +18,8 @@ from collections import Counter
 import pytest
 
 from repro.analysis import analyze, existential_depth, prune_for_target
-from repro.analysis import firing as firing_module
 from repro.analysis import report as report_module
+from repro.dependencies.eid import EmbeddedImplicationalDependency
 from repro.dependencies.parser import parse_td
 from repro.reduction.encode import encode
 from repro.workloads.generators import disguise, random_eid, random_td
@@ -142,14 +142,14 @@ class TestNeverFiresOncePerPrune:
         trivial = parse_td("R(x,y) & R(y,z) -> R(x,w)")
         premises = (symmetry, trivial, disguise(symmetry, seed=7, tag="once"))
         calls = []
-        tested = report_module.never_fires
+        # The one body: a TD's is_trivial decides through it.
+        tested = EmbeddedImplicationalDependency.is_trivial
 
         def counting(dependency):
             calls.append(dependency)
             return tested(dependency)
 
-        monkeypatch.setattr(report_module, "never_fires", counting)
-        monkeypatch.setattr(firing_module, "never_fires", counting)
+        monkeypatch.setattr(EmbeddedImplicationalDependency, "is_trivial", counting)
         monkeypatch.setattr(report_module, "_ANALYSIS_CACHE", {})
         monkeypatch.setattr(report_module, "_PRUNE_CACHE", {})
         program = prune_for_target(premises)
@@ -160,3 +160,4 @@ class TestNeverFiresOncePerPrune:
         ]
         assert program.kept == (symmetry,)
         assert len(calls) == len(premises)
+        assert sorted(map(str, calls)) == sorted(map(str, premises))

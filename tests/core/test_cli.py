@@ -1,8 +1,16 @@
 """Tests for the command-line interface."""
 
+import json
+import re
+
 import pytest
 
+from repro.analysis import prune_for_target
 from repro.cli import EXIT_DISPROVED, EXIT_PROVED, EXIT_UNKNOWN, EXIT_USAGE, main
+from repro.dependencies.parser import parse_dependency
+from repro.io.textfmt import parse_dependency_file
+from repro.reduction.encode import encode
+from repro.workloads.instances import negative_family
 
 
 @pytest.fixture
@@ -140,6 +148,38 @@ class TestEncode:
         output = capsys.readouterr().out
         assert "D0:" in output
         assert "D1[" in output
+
+    def test_full_listing_round_trips_through_analyze(
+        self, negative_file, tmp_path, capsys
+    ):
+        # negative_file holds negative_family(0); its premise lines, as
+        # printed, must analyze exactly like the encoding in process.
+        main(["encode", negative_file, "--full"])
+        lines = capsys.readouterr().out.splitlines()
+        premises = [line for line in lines if re.match(r"D[1-4]\[", line)]
+        target = next(line for line in lines if line.startswith("D0: "))
+        path = tmp_path / "gl.txt"
+        path.write_text("".join(f"{line}\n" for line in premises))
+        code = main(["analyze", "--deps", str(path), "--json", "--target", target])
+        assert code == EXIT_UNKNOWN
+        payload = json.loads(capsys.readouterr().out)
+
+        encoding = encode(negative_family(0))
+        parsed = parse_dependency_file(path.read_text())
+        assert [(d.name, d.antecedents, d.conclusions) for d in parsed] == [
+            (d.name, d.antecedents, d.conclusions) for d in encoding.dependencies
+        ]
+        assert parse_dependency(target).conclusions == encoding.d0.conclusions
+        program = prune_for_target(tuple(encoding.dependencies))
+        expected = program.provenance(applied=False, derived=None)
+        expected.update(
+            position_count=program.report.position_count,
+            regular_edges=program.report.regular_edge_count,
+            special_edges=program.report.special_edge_count,
+            weakly_acyclic=program.report.weakly_acyclic,
+            jointly_acyclic=program.report.jointly_acyclic,
+        )
+        assert payload == expected
 
 
 class TestDiagram:

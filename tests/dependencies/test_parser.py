@@ -104,3 +104,33 @@ class TestRoundTrip:
     def test_str_then_parse(self, text):
         td = parse_td(text)
         assert parse_td(str(td), td.schema).structurally_equal(td)
+
+
+class TestEncoderSyntax:
+    def test_attribute_at_node_names(self):
+        td = parse_td("R(E@3, A0''@1, 0'@*) & R(E@3, A0''@2, 0'@5) -> R(E@*, A0''@1, 0'@*)")
+        assert {v.name for v in td.universal_variables()} == {
+            "E@3", "A0''@1", "A0''@2", "0'@*", "0'@5"
+        }
+        assert {v.name for v in td.existential_variables()} == {"E@*"}
+
+    def test_label_names_the_dependency(self):
+        td = parse_td("D1[A0.0=0]: R(E@2, E'@1) -> R(E@*, E'@1)")
+        assert td.name == "D1[A0.0=0]"
+        assert parse_td("D0 : R(x, y) -> R(y, x)").name == "D0"
+        assert parse_td("R(x, y) -> R(y, x)").name is None
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "R(x, E@) -> R(x, x)",  # no node
+            "R(x, E@3a) -> R(x, x)",  # node is digits or *
+            "R(x, E'''@3) -> R(x, x)",  # at most two primes
+            "R(x, @3) -> R(x, x)",  # no attribute
+            "D1[a b]: R(x, y) -> R(y, x)",  # whitespace in the label
+            ": R(x, y) -> R(y, x)",  # empty label
+        ],
+    )
+    def test_malformed_encoder_syntax_rejected(self, text):
+        with pytest.raises(ParseError):
+            parse_td(text)

@@ -22,11 +22,14 @@ held to:
 * :mod:`tests.oracle.collect` — the chase's per-round trigger
   collection before the old/delta split, which enumerates each match
   once per delta atom.
+* :mod:`tests.oracle.prune` — goal-directed pruning whose entailment
+  pass chases every candidate, certified rest or not.
 
 Apart from :mod:`tests.oracle.collect`, which pins the kernel's own
-firing order and so runs on the kernel's join plans, nothing here
-touches the kernel: no interned view, no join plan. Tests
-and benchmarks import from the submodules (``from tests.oracle.chase
-import chase``); no module under ``src/repro`` may import from here
-(``scripts/lint_invariants.py`` enforces that).
+firing order and so runs on the kernel's join plans, and
+:mod:`tests.oracle.prune`, whose entailment chases are the production
+``implies``, nothing here touches the kernel: no interned view, no join
+plan. Tests and benchmarks import from the submodules (``from
+tests.oracle.chase import chase``); no module under ``src/repro`` may
+import from here (``scripts/lint_invariants.py`` enforces that).
 """

@@ -254,7 +254,7 @@ def position_ranks(graph: MultiDiGraph) -> Mapping[int, int]:
 def firing_graph_of(fires: Sequence[bool]) -> MultiDiGraph:
     """The conservative dependency-to-dependency firing graph.
 
-    ``fires`` holds each dependency's ``not never_fires``. Productive
+    ``fires`` holds each dependency's ``not is_trivial()``. Productive
     dependencies form a complete subgraph — the sound over-approximation
     for a single relation, where any added row can complete a trigger
     for any antecedent — and never-firing dependencies are isolated

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from hypothesis import strategies as st
 
+from repro.dependencies.eid import EmbeddedImplicationalDependency
 from repro.dependencies.template import TemplateDependency, Variable
 from repro.relational.instance import Instance
 from repro.relational.schema import Schema
@@ -88,3 +89,38 @@ def schema_td_instance(draw):
     td = draw(typed_tds(schema=schema))
     instance = draw(typed_instances(schema=schema))
     return schema, td, instance
+
+
+@st.composite
+def typed_eids(draw, schema: Schema | None = None) -> EmbeddedImplicationalDependency:
+    """Random typed EIDs: a random TD's antecedents with two or three
+    conclusion atoms, each column a universal of that column or one of
+    two existentials shared across the atoms."""
+    td = draw(typed_tds(schema=schema))
+    used = [
+        sorted({atom[column] for atom in td.antecedents}, key=lambda v: v.name)
+        for column in range(td.schema.arity)
+    ]
+    conclusions = []
+    for __ in range(draw(st.integers(min_value=2, max_value=3))):
+        conclusions.append(
+            tuple(
+                draw(
+                    st.sampled_from(
+                        used[column]
+                        + [Variable(f"c{column}e{index}") for index in range(2)]
+                    )
+                )
+                for column in range(td.schema.arity)
+            )
+        )
+    return EmbeddedImplicationalDependency(td.schema, td.antecedents, conclusions)
+
+
+@st.composite
+def schema_dependency_instance(draw):
+    """A schema with a TD or an EID and an instance over it."""
+    schema = draw(schemas())
+    dependency = draw(st.one_of(typed_tds(schema=schema), typed_eids(schema=schema)))
+    instance = draw(typed_instances(schema=schema))
+    return schema, dependency, instance

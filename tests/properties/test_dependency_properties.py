@@ -7,7 +7,11 @@ from repro.chase.budget import Budget
 from repro.dependencies.diagram import diagram_of
 from repro.dependencies.parser import parse_td
 
-from tests.properties.strategies import schema_td_instance, typed_tds
+from tests.properties.strategies import (
+    schema_dependency_instance,
+    schema_td_instance,
+    typed_tds,
+)
 
 
 @given(typed_tds())
@@ -56,13 +60,14 @@ def test_canonical_form_stable(td):
     assert canonical.structurally_equal(td)
 
 
-@given(schema_td_instance())
-@settings(max_examples=40, deadline=None)
+@given(schema_dependency_instance())
+@settings(max_examples=80, deadline=None)
 def test_trivial_tds_hold_everywhere(data):
-    """is_trivial() really does mean valid in every database."""
-    __, td, instance = data
-    if td.is_trivial():
-        assert td.holds_in(instance)
+    """is_trivial() really does mean valid in every database, for TDs
+    and for EIDs (whose conclusion atoms must embed jointly)."""
+    __, dependency, instance = data
+    if dependency.is_trivial():
+        assert dependency.holds_in(instance)
 
 
 @given(schema_td_instance())
