@@ -11,7 +11,10 @@ production traffic looks):
 * **cold service, pool** — dedup plus the multiprocessing scheduler;
 * **warm service** — a second batch against the populated cache.
 
-Also re-verifies a cached PROVED verdict end to end: the trace stored in
+Also counts the canonical-labelling searches that freshly disguised
+copies of the targets (renamed, antecedents shuffled) still run after
+the targets themselves were labelled: at most a quarter may miss the
+shape memo. And re-verifies a cached PROVED verdict end to end: the trace stored in
 the cache is replayed with verification on and must still derive the
 target's conclusion. Run with ``--quick`` for a smoke-sized workload.
 """
@@ -25,8 +28,9 @@ import pytest
 from repro.chase.budget import Budget
 from repro.chase.engine import replay
 from repro.chase.implication import InferenceStatus, conclusion_satisfied, implies_all
+from repro.dependencies import canonical
 from repro.service import InferenceService, ResultCache
-from repro.workloads.generators import inference_workload
+from repro.workloads.generators import disguise, inference_workload
 
 from conftest import record
 
@@ -105,6 +109,28 @@ def test_batch_service_throughput(workload, quick):
     assert warm_report.stats.cache_hits == len(targets)
     if not quick:
         assert warm_seconds < serial_seconds
+
+
+def test_disguised_copies_hit_the_shape_memo(workload, monkeypatch):
+    dependencies, targets = workload
+    monkeypatch.setattr(canonical, "_SHAPE_CACHE", {})
+    for target in targets:
+        canonical.query_fingerprint(dependencies, target)
+    searches = []
+    search = canonical._search
+
+    def counting(key):
+        searches.append(key)
+        return search(key)
+
+    monkeypatch.setattr(canonical, "_search", counting)
+    for index, target in enumerate(targets):
+        canonical.query_fingerprint(dependencies, disguise(target, seed=1_000 + index, tag="x"))
+    record(
+        EXPERIMENT,
+        f"  shape memo: {len(searches)}/{len(targets)} disguised copies searched",
+    )
+    assert len(searches) <= len(targets) // 4
 
 
 def test_cached_proof_still_replays(workload):

@@ -464,11 +464,26 @@ def prune_for_target(dependencies: Sequence[Dependency]) -> QueryProgram:
        there would change only provenance.
 
     The result is target-independent at this single-relation
-    granularity, so it is cached per premise tuple.
+    granularity, so it is cached per premise tuple. The cache keys on
+    content, which ignores dependency names, so ``kept`` and the dropped
+    names are rebuilt from the caller's own tuple by index.
     """
-    return memoized(
-        _PRUNE_CACHE, tuple(dependencies), _prune, _PRUNE_CACHE_MAX
+    given = tuple(dependencies)
+    program = memoized(_PRUNE_CACHE, given, _prune, _PRUNE_CACHE_MAX)
+    gone = {entry.index for entry in program.dropped}
+    return replace(
+        program,
+        kept=tuple(
+            dependency for index, dependency in enumerate(given) if index not in gone
+        ),
+        dropped=tuple(
+            replace(entry, name=_name(given, entry.index)) for entry in program.dropped
+        ),
     )
+
+
+def _name(dependencies: Tuple[Dependency, ...], index: int) -> str:
+    return dependencies[index].name or f"dependency[{index}]"
 
 
 def _prune(key: Tuple[Dependency, ...]) -> QueryProgram:
@@ -477,17 +492,13 @@ def _prune(key: Tuple[Dependency, ...]) -> QueryProgram:
     kept_indices: List[int] = []
     never = set(report.never_firing)
     seen_keys: Set[tuple] = set()
-    names = [
-        dependency.name or f"dependency[{index}]"
-        for index, dependency in enumerate(key)
-    ]
     for index, dependency in enumerate(key):
         if index in never:
-            dropped.append(PrunedDependency(index, names[index], "never-fires"))
+            dropped.append(PrunedDependency(index, _name(key, index), "never-fires"))
             continue
         shape = canonical_key(dependency)
         if shape in seen_keys:
-            dropped.append(PrunedDependency(index, names[index], "duplicate"))
+            dropped.append(PrunedDependency(index, _name(key, index), "duplicate"))
             continue
         seen_keys.add(shape)
         kept_indices.append(index)
@@ -512,7 +523,7 @@ def _prune(key: Tuple[Dependency, ...]) -> QueryProgram:
                 )
                 if outcome.status is InferenceStatus.PROVED:
                     dropped.append(
-                        PrunedDependency(index, names[index], "entailed")
+                        PrunedDependency(index, _name(key, index), "entailed")
                     )
                     continue
             survivors.append(index)

@@ -31,20 +31,24 @@ the search sees variable names or the caller's atom order, and the
 search is exact whenever it visits the whole tree.
 
 Hashing sits on the batch service's hot path, and the same dependencies
-come back renamed batch after batch. The search sees only variable
-numbers, so its result is a function of the input's atoms with variables
-numbered by first occurrence; the labelling is memoized on exactly that,
-packed into bytes, through :func:`~repro.kernel.joins.memoized`
-(``_SHAPE_CACHE_MAX`` shapes). A renamed copy skips the search; keys and
-fingerprints are the same as without the memo. :func:`query_fingerprint`
-likewise serializes the premise half of its digest once per premise key.
+come back renamed and reordered batch after batch. The search sees only
+variable numbers, so its result is a function of any relabelled copy of
+the input. The labelling is memoized on one such copy, packed into bytes
+(:func:`_memo_key`): each block's atoms sorted by a name-free occurrence
+weight, then variables numbered by first occurrence. Most disguised
+copies of a dependency map to one key and skip the search. The memo
+goes through :func:`~repro.kernel.joins.memoized` (``_SHAPE_CACHE_MAX``
+shapes) and keeps each shape's compact JSON beside it, so fingerprinting
+a memoized dependency serializes nothing. The premise and schema half
+of a digest is serialized once per premise key and schema. Keys and
+fingerprints are the same as without the memo.
 
 A node budget caps the tree of a highly symmetric dependency: once it is
-spent the search follows one branch to a leaf. That leaf can depend on
-the input's variable order, so the degraded case can split one cache key
-in two. It never conflates distinct dependencies: every leaf shape is a
-relabelled copy of the input, so equal shapes imply isomorphic
-dependencies.
+spent the search follows one branch to a leaf. That leaf depends on the
+variable order of the memo key, which follows the sorted atoms, so the
+degraded case can split one cache key in two. It never conflates
+distinct dependencies: every leaf shape is a relabelled copy of the
+input, so equal shapes imply isomorphic dependencies.
 """
 
 from __future__ import annotations
@@ -75,10 +79,11 @@ Shape = tuple[ShapeBlock, ShapeBlock]
 _NODE_BUDGET = 2_000
 
 
-#: Labelled shapes, keyed by the input's structure with variables numbered
-#: by first occurrence (see :func:`_least_shape`): a renamed copy of a
-#: dependency seen before skips the search.
-_SHAPE_CACHE: dict[bytes, Shape] = {}
+#: Labelled shapes with their compact JSON, keyed by the input's structure
+#: with atoms sorted by occurrence weight and variables numbered by first
+#: occurrence (see :func:`_memo_key`): a renamed, reordered copy of a
+#: dependency seen before skips the search and the serialization.
+_SHAPE_CACHE: dict[bytes, tuple[Shape, bytes]] = {}
 _SHAPE_CACHE_MAX = 4096
 
 #: Interned shape atoms. Memoized shapes repeat a few distinct atoms
@@ -88,21 +93,60 @@ _ATOM_CACHE: dict[tuple[int, ...], tuple[int, ...]] = {}
 _ATOM_CACHE_MAX = 4096
 
 
-def _least_shape(antecedents: Sequence[Atom], conclusions: Sequence[Atom]) -> Shape:
-    """The least leaf shape of the individualization-refinement tree.
+def _memo_key(antecedents: Sequence[Atom], conclusions: Sequence[Atom]) -> bytes:
+    """The structure key: a relabelled copy of the input, packed as integers.
+
+    The antecedent count, the arity, then every atom's variable numbers.
+    Each block's atoms are first sorted by a name-free occurrence weight:
+    a variable's weight counts its occurrences per ``(block, column)``
+    slot, eight bits a slot with the first slot most significant, and an
+    atom's weight lists its variables' weights in column order. Ties keep
+    input order (the sort is stable). Variables are then numbered by
+    first occurrence in the sorted order. Every atom has the schema's
+    arity, so the key is injective; it holds no ``Variable``.
+
+    The key is still a relabelled copy of the input, so equal keys mean
+    isomorphic inputs, and those get the same least shape because the
+    search is exact. The weight only orders atoms and need not be
+    injective (a count past 255 carries into the next slot). It makes
+    most conjunction orders of one dependency meet in one key; atoms it
+    ties, such as the middle of a path, split the class into a few keys,
+    which the memo absorbs.
+    """
+    arity = len((antecedents or conclusions)[0])
+    units = [1 << (8 * slot) for slot in range(2 * arity - 1, -1, -1)]
+    weights: dict[str, int] = {}
+    for offset, source in ((0, antecedents), (arity, conclusions)):
+        for atom in source:
+            for slot, variable in enumerate(atom, offset):
+                name = variable.name
+                weights[name] = weights.get(name, 0) + units[slot]
+    numbers: dict[str, int] = {}
+    flat = [len(antecedents), arity]
+    for source in (antecedents, conclusions):
+        if len(source) > 1:
+            source = sorted(source, key=lambda atom: [weights[variable.name] for variable in atom])
+        for atom in source:
+            for variable in atom:
+                flat.append(numbers.setdefault(variable.name, len(numbers)))
+    return array("I", flat).tobytes()
+
+
+def _least_shape(antecedents: Sequence[Atom], conclusions: Sequence[Atom]) -> tuple[Shape, bytes]:
+    """The least leaf shape of the individualization-refinement tree, and
+    its compact JSON without the outer brackets.
 
     The search sees only variable numbers, so it runs on, and is memoized
-    by, the structure key: the antecedent count, the arity, then every
-    atom's variable numbers (first occurrence, input order), packed as
-    integers. Every atom has the schema's arity, so the key is injective;
-    it holds no ``Variable``.
+    by, :func:`_memo_key`'s copy of the input: a memoized shape is a
+    function of the key alone, whichever input was seen first.
     """
-    numbers: dict[str, int] = {}
-    flat = [len(antecedents), len((antecedents or conclusions)[0])]
-    for source in (antecedents, conclusions):
-        for atom in source:
-            flat.extend([numbers.setdefault(variable.name, len(numbers)) for variable in atom])
-    return memoized(_SHAPE_CACHE, array("I", flat).tobytes(), _search, _SHAPE_CACHE_MAX)
+    return memoized(_SHAPE_CACHE, _memo_key(antecedents, conclusions), _label, _SHAPE_CACHE_MAX)
+
+
+def _label(key: bytes) -> tuple[Shape, bytes]:
+    """:func:`_search`'s shape and its JSON fragment, ``<block>,<block>``."""
+    shape = _search(key)
+    return shape, _json(shape)[1:-1]
 
 
 def _search(key: bytes) -> Shape:
@@ -233,7 +277,7 @@ def canonical_shape(dependency: Dependency) -> Shape:
     Invariant under variable renaming and under reordering of the
     antecedent and conclusion conjunctions.
     """
-    return _least_shape(dependency.antecedents, dependency.conclusions)
+    return _least_shape(dependency.antecedents, dependency.conclusions)[0]
 
 
 def canonical_key(dependency: Dependency) -> tuple:
@@ -279,7 +323,7 @@ def _json(key: tuple) -> bytes:
 
 def dependency_fingerprint(dependency: Dependency) -> str:
     """A stable content hash of one dependency's canonical key."""
-    return hashlib.sha256(_json(canonical_key(dependency))).hexdigest()
+    return _digest(None, dependency)
 
 
 def premise_key(dependencies: Iterable[Dependency]) -> tuple:
@@ -310,10 +354,33 @@ def query_key(
     return (premises, canonical_key(target))
 
 
-#: The premise half of a query digest's JSON, ``[<premise key>,``, per
-#: premise key: a batch serializes its premise set once, not per target.
+#: The JSON of a digest up to the target's shape, ``[<premise key>,[<schema>,``
+#: (``[<schema>,`` for a lone dependency), per premise key and schema: a
+#: batch serializes its premise set and schema once, not per target.
 _PREFIX_CACHE: dict[tuple, bytes] = {}
 _PREFIX_CACHE_MAX = 128
+
+
+def _prefix(key: tuple) -> bytes:
+    premises, attributes = key
+    schema = b"[" + _json(attributes) + b","
+    return schema if premises is None else b"[" + _json(premises) + b"," + schema
+
+
+def _digest(premises: Optional[tuple], dependency: Dependency) -> str:
+    """The SHA-256 of :func:`canonical_key`'s JSON, or, given a premise
+    key, of :func:`query_key`'s.
+
+    Built as the memoized prefix plus the shape's memoized JSON fragment,
+    byte for byte :func:`_json` of the key, so a memo hit serializes
+    nothing.
+    """
+    prefix = memoized(
+        _PREFIX_CACHE, (premises, dependency.schema.attributes), _prefix, _PREFIX_CACHE_MAX
+    )
+    __, fragment = _least_shape(dependency.antecedents, dependency.conclusions)
+    closing = b"]" if premises is None else b"]]"
+    return hashlib.sha256(prefix + fragment + closing).hexdigest()
 
 
 def query_fingerprint(
@@ -322,14 +389,8 @@ def query_fingerprint(
     *,
     premises: Optional[tuple] = None,
 ) -> str:
-    """A stable content hash for a whole ``D ⊨ d`` query.
-
-    The SHA-256 of :func:`query_key`'s JSON, built as the memoized
-    premise prefix plus the target's key, byte for byte the same.
-    """
+    """A stable content hash for a whole ``D ⊨ d`` query: the SHA-256 of
+    :func:`query_key`'s JSON."""
     if premises is None:
         premises = premise_key(dependencies)
-    prefix = memoized(
-        _PREFIX_CACHE, premises, lambda key: b"[" + _json(key) + b",", _PREFIX_CACHE_MAX
-    )
-    return hashlib.sha256(prefix + _json(canonical_key(target)) + b"]").hexdigest()
+    return _digest(premises, target)

@@ -39,9 +39,8 @@ ENTAILMENT_CERTIFIES = (1037, 1116, 1138)
 
 @pytest.fixture(autouse=True)
 def fresh_memos(monkeypatch):
-    """Cold analyzer memos, kept from other tests both ways: they key
-    on content, so a program cached here would carry this module's
-    dependency names into another test's provenance."""
+    """Cold analyzer memos, kept from other tests both ways, so that
+    the chase counters below see every prune run its pass."""
     monkeypatch.setattr(report_module, "_ANALYSIS_CACHE", {})
     monkeypatch.setattr(report_module, "_PRUNE_CACHE", {})
 

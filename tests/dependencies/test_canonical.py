@@ -1,7 +1,9 @@
 """Tests for repro.dependencies.canonical."""
 
 import hashlib
+import json
 import random
+from array import array
 from collections import Counter
 
 import pytest
@@ -11,6 +13,7 @@ from repro.dependencies.canonical import (
     canonical_key,
     canonicalize,
     dependency_fingerprint,
+    premise_key,
     query_fingerprint,
     query_key,
 )
@@ -21,6 +24,8 @@ from repro.reduction.encode import encode
 from repro.relational.schema import Schema
 from repro.workloads.generators import disguise, inference_workload, random_td
 from repro.workloads.instances import negative_family, positive_chain_family
+
+from tests.oracle import canonical as oracle
 
 EDGE = Schema(["FROM", "TO"])
 
@@ -70,6 +75,10 @@ def isomorphic(left, right) -> bool:
         return False
 
     return extend(0)
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def variables_of(dependency) -> list[Variable]:
@@ -426,6 +435,23 @@ class TestNodeBudget:
             copy = disguise(dependency, seed=seed)
             assert isomorphic(canonicalize(copy), dependency)
 
+    @pytest.mark.parametrize("dependency", SYMMETRIC)
+    def test_degraded_key_does_not_depend_on_memo_state(
+        self, monkeypatch, fresh_shape_memo, dependency
+    ):
+        # A spent budget's leaf follows the memo key's order, and the
+        # search runs on the key's own copy, so a disguise gets one key
+        # whichever disguises were labelled before it.
+        monkeypatch.setattr(canonical, "_NODE_BUDGET", 1)
+        copies = [disguise(dependency, seed=seed) for seed in range(8)]
+        cold = []
+        for copy in copies:
+            fresh_shape_memo.clear()
+            cold.append(canonical_key(copy))
+        fresh_shape_memo.clear()
+        assert [canonical_key(copy) for copy in reversed(copies)] == cold[::-1]
+        assert [canonical_key(copy) for copy in copies] == cold
+
     @pytest.mark.parametrize("left, right", REFINEMENT_TWINS)
     def test_degraded_keys_still_separate_refinement_twins(self, monkeypatch, left, right):
         monkeypatch.setattr(canonical, "_NODE_BUDGET", 1)
@@ -492,11 +518,127 @@ class TestShapeMemo:
         # Evicted shapes are relabelled to the same key.
         assert [canonical_key(td) for td in tds] == keys
 
+    def test_digests_hash_the_keys_json(self, fresh_shape_memo):
+        # The memoized JSON fragments must spell the keys byte for byte.
+        premises, __ = inference_workload(queries=1, seed=0)
+        for __ in range(2):
+            for dependency in memo_corpus():
+                key_json = json.dumps(canonical_key(dependency), separators=(",", ":"))
+                assert dependency_fingerprint(dependency) == sha256(key_json)
+                query_json = json.dumps(query_key(premises, dependency), separators=(",", ":"))
+                assert query_fingerprint(premises, dependency) == sha256(query_json)
+                assert query_fingerprint([], dependency) == sha256(f"[[],{key_json}]")
+
     def test_memo_holds_no_variables(self, fresh_shape_memo):
         for dependency in memo_corpus():
             canonical_key(dependency)
         assert fresh_shape_memo
         assert all(type(key) is bytes for key in fresh_shape_memo)
+
+
+def oracle_corpus() -> list:
+    """The memo corpus, 30 workload batches, random TDs/EIDs and their
+    shuffled copies, and every GL encoding of the golden corpus."""
+    corpus = memo_corpus()
+    for seed in range(30):
+        dependencies, targets = inference_workload(
+            queries=96, duplicate_fraction=0.35, seed=seed
+        )
+        corpus += dependencies + targets
+    randoms = [
+        random_td(seed=seed, arity=2 + seed % 3, antecedents=1 + seed % 5) for seed in range(60)
+    ]
+    randoms += [random_eid(seed, conclusions=1 + seed % 3) for seed in range(60)]
+    corpus += randoms
+    corpus += [shuffled(dependency, seed=500 + index) for index, dependency in enumerate(randoms)]
+    encodings = [encode(positive_chain_family(k)) for k in range(1, 4)]
+    encodings += [encode(negative_family(k)) for k in range(4)]
+    for encoding in encodings:
+        corpus += list(encoding.dependencies) + [encoding.d0]
+    return corpus
+
+
+def decoded(key: bytes, like):
+    """The dependency a memo key spells, over ``like``'s schema and kind."""
+    flat = array("I")
+    flat.frombytes(key)
+    antecedents, arity = flat[0], flat[1]
+    atoms = [
+        tuple(Variable(f"k{number}") for number in flat[start : start + arity])
+        for start in range(2, len(flat), arity)
+    ]
+    if isinstance(like, TemplateDependency):
+        return TemplateDependency(like.schema, atoms[:antecedents], atoms[antecedents])
+    return EmbeddedImplicationalDependency(like.schema, atoms[:antecedents], atoms[antecedents:])
+
+
+class TestAgainstAtomOrderOracle:
+    """The atom-order-insensitive memo key changes no canonical key.
+
+    :mod:`tests.oracle.canonical` is the labelling memoized on the input's
+    own atom order. Its search is the same, so on inputs within the node
+    budget every key must be the same, cold or warm.
+    """
+
+    @pytest.fixture(scope="class")
+    def corpus(self):
+        return oracle_corpus()
+
+    def test_keys_equal_the_oracle_cold_and_warm(self, corpus, fresh_shape_memo, monkeypatch):
+        monkeypatch.setattr(oracle, "_SHAPE_CACHE", {})
+        expected = [oracle.canonical_key(dependency) for dependency in corpus]
+        cold = []
+        for dependency in corpus:
+            fresh_shape_memo.clear()
+            cold.append(canonical_key(dependency))
+        assert cold == expected
+        fresh_shape_memo.clear()
+        for __ in range(2):
+            assert [canonical_key(dependency) for dependency in corpus] == expected
+
+    def test_memo_key_spells_an_isomorphic_copy(self, corpus):
+        for dependency in corpus:
+            copy = decoded(
+                canonical._memo_key(dependency.antecedents, dependency.conclusions), dependency
+            )
+            if len(variables_of(dependency)) <= 12:
+                assert isomorphic(copy, dependency), dependency
+            else:
+                # The encodings' dependencies (up to 38 variables) are out
+                # of the brute force's reach; the oracle's exact search
+                # gives isomorphic inputs one key.
+                assert oracle.canonical_key(copy) == oracle.canonical_key(dependency)
+
+
+class TestSearchRate:
+    def test_warm_batches_rarely_search(self, fresh_shape_memo, monkeypatch):
+        """Disguised copies shuffle their antecedents; most must still
+        meet their class's memo entry once the stream is warm."""
+        searches = []
+        search = canonical._search
+
+        def counting(key):
+            searches.append(key)
+            return search(key)
+
+        monkeypatch.setattr(canonical, "_search", counting)
+
+        def batches(seeds):
+            queries = 0
+            for seed in seeds:
+                dependencies, targets = inference_workload(
+                    queries=96, duplicate_fraction=0.35, seed=seed
+                )
+                premises = premise_key(dependencies)
+                for target in targets:
+                    query_fingerprint(dependencies, target, premises=premises)
+                queries += len(targets)
+            return queries
+
+        batches(range(50))
+        searches.clear()
+        queries = batches(range(50, 100))
+        assert len(searches) / queries <= 0.06
 
 
 #: SHA-256 of the fingerprint corpus below, concatenated in order. Pinned

@@ -24,12 +24,15 @@ held to:
   once per delta atom.
 * :mod:`tests.oracle.prune` — goal-directed pruning whose entailment
   pass chases every candidate, certified rest or not.
+* :mod:`tests.oracle.canonical` — the canonical labelling memoized on
+  the input's own atom order.
 
 Apart from :mod:`tests.oracle.collect`, which pins the kernel's own
 firing order and so runs on the kernel's join plans, and
 :mod:`tests.oracle.prune`, whose entailment chases are the production
 ``implies``, nothing here touches the kernel: no interned view, no join
-plan. Tests and benchmarks import from the submodules (``from
+plan (:mod:`tests.oracle.canonical` memoizes through the kernel's
+``memoized``, as the production labelling does). Tests and benchmarks import from the submodules (``from
 tests.oracle.chase import chase``); no module under ``src/repro`` may
 import from here (``scripts/lint_invariants.py`` enforces that).
 """
